@@ -13,22 +13,21 @@ interpreter start and imports).  Nothing here sets ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import random
 import sys
 import time
 
-from perfbench import tracing
-
-#: Runtime workers of every graph run, except the single-worker traced
-#: ``reproduce`` job (one process sees every call).
+#: Runtime workers of every graph run, except the traced ``reproduce``
+#: run's single-worker jobs (one process sees every call).
 WORKERS = 2
 #: Domains of the ``reproduce`` suite.  Restricting the quick preset to one
 #: domain keeps a cold ``tables 1-5`` near 30 s on two cores (all three
 #: take about 100 s), so a run fits the benchmark's time budget.
 REPRODUCE_DOMAINS = ("cordis",)
-#: Domains the ``augment`` pipeline runs for and ``serve`` serves.
+#: Domains ``serve`` serves.
 DOMAINS = ("cordis", "sdss", "oncomx")
 #: The served system and training regime.
 SERVE_SYSTEM = ("valuenet", "both")
@@ -62,25 +61,39 @@ def _records(suite) -> list[list]:
 
 
 def _traced(params):
-    """A :class:`tracing.SpanLog` wrapped around every layer, or None."""
+    """A ``tracing.SpanLog`` wrapped around every layer, or None."""
     if not params.get("trace"):
         return None
+    from perfbench import tracing
+
     log = tracing.SpanLog()
     tracing.install(log)
     return log
 
 
-def _trace_result(log, params, job_s: float) -> dict:
+def _root(log):
+    """The root span a traced phase measures in (nothing when untraced)."""
+    return log.root() if log is not None else contextlib.nullcontext()
+
+
+def _trace_result(log, params) -> dict:
+    """Per-layer metrics of a traced phase, after its spans are written.
+
+    ``attributed_s`` is the self time of every layer, which leaves out the
+    root span's own time: the parent measures coverage as its share of the
+    phase's end-to-end window.
+    """
     if log is None:
         return {}
+    from perfbench import tracing
+
     log.unwrap_all()
-    if params.get("trace_out"):
-        log.write(params["trace_out"])
+    layers = tracing.layer_metrics(log)
     return {
-        "layers": tracing.layer_metrics(log),
-        "root_s": tracing.root_time(log.spans),
-        "job_s": job_s,
+        "layers": layers,
+        "attributed_s": sum(layers[f"{layer}.self_s"] for layer in tracing.LAYERS),
         "spans": len(log.spans),
+        "logged": log.write(params["trace_out"]),
     }
 
 
@@ -106,11 +119,13 @@ def _render_all(suite) -> dict[str, str]:
 
 def reproduce_tables(params: dict) -> dict:
     """``tables 1 2 3 4 5`` over ``params["cache"]`` (cold when it is empty)."""
-    suite = _suite(REPRODUCE_DOMAINS, params["cache"], params["workers"])
     log = _traced(params)
-    t_setup = now()
-    text = _render_all(suite)
-    t_done = now()
+    with _root(log):
+        suite = _suite(REPRODUCE_DOMAINS, params["cache"], params["workers"])
+        t_setup = now()
+        text = _render_all(suite)
+        t_done = now()
+    trace = _trace_result(log, params)
     with open(params["text_out"], "w", encoding="utf-8") as handle:
         json.dump(text, handle)
     result = {
@@ -118,7 +133,7 @@ def reproduce_tables(params: dict) -> dict:
         "t_done": t_done,
         "records": _records(suite),
         "synth": _synth_rate(suite, ("domain:", "synth-spider:")),
-        **_trace_result(log, params, t_done - t_setup),
+        **trace,
     }
     if params.get("check_cells"):
         result["cells"] = _check_table5(suite, params["check_cells"])
@@ -155,83 +170,6 @@ def _check_table5(suite, cells: list) -> list[dict]:
     return checked
 
 
-# -- augment ---------------------------------------------------------------------
-
-
-def _bare_domains():
-    from repro import adapters
-
-    config = _config(DOMAINS)
-    return config, {
-        name: adapters.get_adapter(name).build(scale=config.domain_scale)
-        for name in DOMAINS
-    }
-
-
-def augment_setup(params: dict) -> dict:
-    """Imports plus bare builds of the three domains."""
-    from repro.synthesis import AugmentationPipeline  # noqa: F401  (timed import)
-
-    _bare_domains()
-    return {"t_done": now()}
-
-
-def augment_pipeline(params: dict) -> dict:
-    """``AugmentationPipeline.run`` per domain, at the quick-preset targets
-    and the seeds the suite derives for its domain tasks.
-
-    The pipeline checkpoints its phases under ``params["cache"]``; a second
-    process over the same directory resumes instead of recomputing.
-    """
-    import hashlib
-
-    from repro.experiments.tasks import domain_task
-    from repro.llm.models import GPT3_PROFILE, make_model
-    from repro.runtime import ArtifactCache, derive_seed
-    from repro.synthesis import AugmentationPipeline, PipelineConfig
-
-    config, domains = _bare_domains()
-    log = _traced(params)
-    digest = hashlib.sha256()
-    stats, checkpoints, domain_s = {}, {}, {}
-    pairs = generated = dead_letters = 0
-    for name in DOMAINS:
-        seed = derive_seed(config.seed, domain_task(name))
-        pipeline = AugmentationPipeline(
-            domains[name],
-            model=make_model(GPT3_PROFILE, seed=seed),
-            config=PipelineConfig(target_queries=config.synth_targets[name], seed=seed),
-            checkpoints=ArtifactCache(params["cache"]),
-        )
-        start = now()
-        report = pipeline.run(rng=random.Random(seed))
-        domain_s[name] = now() - start
-        for pair in report.split.pairs:
-            digest.update(f"{name}\t{pair.question}\t{pair.sql}\n".encode())
-        generation = report.generation
-        stats[name] = [
-            generation.candidates, generation.static_rejected, generation.executed,
-            generation.runtime_rejected, generation.accepted, report.n_dead_lettered,
-        ]
-        checkpoints[name] = report.checkpoints
-        pairs += report.n_pairs
-        generated += report.n_generated_sql
-        dead_letters += report.n_dead_lettered
-    t_done = now()
-    return {
-        "t_done": t_done,
-        "pipeline_s": sum(domain_s.values()),
-        "domain_s": domain_s,
-        "pairs": pairs,
-        "generated": generated,
-        "dead_letters": dead_letters,
-        "digest": digest.hexdigest(),
-        "stats": stats,
-        "checkpoints": checkpoints,
-        **_trace_result(log, params, sum(domain_s.values())),
-    }
-
-
 # -- serve -----------------------------------------------------------------------
 
 
@@ -263,14 +201,62 @@ def _synth_rate(suite, prefixes=("domain:",)) -> list[float]:
     return [pairs, seconds]
 
 
+def _record_generation(folder: str) -> None:
+    """Have every ``AugmentationPipeline.run`` write its ``GenerationStats``
+    counts (and dead letters) to ``folder/<domain>.json``.
+
+    The runtime's pool workers fork from this process after the patch, so
+    domain builds running there report too; a build that does not report
+    fails the parent's check rather than passing it.
+    """
+    import os
+
+    from repro.synthesis import AugmentationPipeline
+
+    original = AugmentationPipeline.run
+
+    def run(self, *args, **kwargs):
+        report = original(self, *args, **kwargs)
+        stats = report.generation
+        counts = [stats.candidates, stats.static_rejected, stats.executed,
+                  stats.runtime_rejected, stats.accepted, report.n_dead_lettered]
+        with open(os.path.join(folder, f"{self.domain.name}.json"), "w") as handle:
+            json.dump(counts, handle)
+        return report
+
+    AugmentationPipeline.run = run
+
+
 def serve_prepare(params: dict) -> dict:
     """Build the served domains (with their Synth splits) and the corpus
-    into ``params["cache"]``: the inputs every set-up then trains from."""
+    into ``params["cache"]``: the inputs every set-up then trains from.
+
+    ``synth_sha256`` digests the three Synth splits, which the augmentation
+    pipeline made at the quick-preset targets and the suite's derived seeds;
+    ``generation`` holds each domain's generation counts.
+    """
+    import hashlib
+    import os
+
     from repro.experiments.tasks import CORPUS_TASK, domain_task
 
+    folder = params["generation_out"]
+    os.makedirs(folder, exist_ok=True)
+    _record_generation(folder)
     suite = _suite(DOMAINS, params["cache"])
     suite.ensure([domain_task(name) for name in DOMAINS] + [CORPUS_TASK])
-    return {"t_done": now(), "synth": _synth_rate(suite)}
+    t_done = now()
+    digest = hashlib.sha256()
+    generation = {}
+    for name in DOMAINS:
+        for pair in suite.domain(name).synth.pairs:
+            digest.update(f"{name}\t{pair.question}\t{pair.sql}\n".encode())
+        path = os.path.join(folder, f"{name}.json")
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as handle:
+                generation[name] = json.load(handle)
+    return {"t_done": t_done, "synth": _synth_rate(suite), "synth_sha256": digest.hexdigest(),
+            "generation": generation}
 
 
 def serve_start(params: dict) -> dict:
@@ -322,9 +308,10 @@ def serve_stream(params: dict) -> dict:
         async def one(index: int, domain: str, question: str) -> None:
             due = first_due + index / rate
             await asyncio.sleep(max(0.0, due - loop.time()))
-            lag = loop.time() - due
+            submitted = loop.time()
             result = await server.submit(question, domain)
-            outcomes[index] = (result, loop.time() - due, lag)
+            done = loop.time()
+            outcomes[index] = (result, done - due, submitted - due, submitted, done)
 
         tasks = [
             asyncio.create_task(one(i, domain, question))
@@ -337,10 +324,19 @@ def serve_stream(params: dict) -> dict:
         return t_setup, t_done, outcomes, stats
 
     t_setup, t_done, outcomes, stats = asyncio.run(replay())
-    trace = _trace_result(log, params, t_done - t_setup)
+    trace = _trace_result(log, params)
+    if log is not None:
+        # The loop's clock and the tracer's are both time.monotonic.
+        from perfbench import tracing
+
+        trace["covered_s"], trace["request_s"] = tracing.request_coverage(log.spans, [
+            (domain, question, submitted,
+             result.timings_ms.get("total", (done - submitted) * 1000.0) / 1000.0)
+            for (domain, question), (result, _, _, submitted, done) in zip(stream, outcomes)
+        ])
 
     requests = []
-    for (domain, question), (result, latency, lag) in zip(stream, outcomes):
+    for (domain, question), (result, latency, lag, _, _) in zip(stream, outcomes):
         requests.append({
             "status": result.status,
             "latency_ms": latency * 1000.0,
@@ -378,8 +374,6 @@ def serve_stream(params: dict) -> dict:
 PHASES = {
     "reproduce.setup": reproduce_setup,
     "reproduce.tables": reproduce_tables,
-    "augment.setup": augment_setup,
-    "augment.pipeline": augment_pipeline,
     "serve.prepare": serve_prepare,
     "serve.start": serve_start,
     "serve.stream": serve_stream,

@@ -81,7 +81,7 @@ class _Clock:
     def __init__(self) -> None:
         self.t = 0.0
 
-    def __call__(self) -> float:
+    def now(self) -> float:
         self.t += 1.0
         return self.t
 
@@ -100,40 +100,76 @@ class _Layers:
 
 
 def test_self_time_is_span_time_minus_child_coverage():
+    originals = {name: _Layers.__dict__[name] for name in ("outer", "inner", "leaf")}
     log = tracing.SpanLog(clock=_Clock())
     log.wrap(_Layers, "outer", "runtime", "outer")
     log.wrap(_Layers, "inner", "nl2sql", "inner")
     log.wrap(_Layers, "leaf", "engine", "leaf")
     try:
-        assert _Layers().outer(3) == 3
+        with log.root():
+            assert _Layers().outer(3) == 3
     finally:
         log.unwrap_all()
-    assert _Layers.outer.__qualname__ == "_Layers.outer"  # unwrapped
+    assert all(_Layers.__dict__[name] is fn for name, fn in originals.items())
 
     spans = log.spans
-    by_id = {span[tracing.ID]: span for span in spans}
-    duration = {i: s[tracing.END] - s[tracing.START] for i, s in by_id.items()}
+    duration = {s.span_id: s.duration_s for s in spans}
     expected: dict[str, float] = {}
     for span in spans:
-        children = [c for c in spans if c[tracing.PARENT] == span[tracing.ID]]
-        own = duration[span[tracing.ID]] - sum(duration[c[tracing.ID]] for c in children)
-        expected[span[tracing.LAYER]] = expected.get(span[tracing.LAYER], 0.0) + own
+        children = [c for c in spans if c.parent_id == span.span_id]
+        own = duration[span.span_id] - sum(duration[c.span_id] for c in children)
+        expected[span.attrs["layer"]] = expected.get(span.attrs["layer"], 0.0) + own
     assert tracing.self_times(spans) == expected
-    # Self times over all layers add up to the time the root spans cover.
-    assert sum(expected.values()) == tracing.root_time(spans)
-    assert len([s for s in spans if s[tracing.NAME] == "leaf"]) == 3
+    # Self times over all layers, the root's included, add up to the root.
+    (root,) = [s for s in spans if s.parent_id is None]
+    assert sum(expected.values()) == root.duration_s
+    assert root.attrs["layer"] == tracing.ROOT and expected[tracing.ROOT] > 0
+    assert len([s for s in spans if s.name == "leaf"]) == 3
     assert all(v > 0 for v in expected.values())
+
+
+def _span(span_id, parent, name, start, end, thread="decode", **attrs):
+    from repro.obs import Span
+
+    return Span(name=name, span_id=span_id, parent_id=parent, start_s=start, end_s=end,
+                attrs={"layer": "engine", **attrs}, pid=1, thread=thread)
 
 
 def test_outermost_skips_nested_spans_of_the_same_names():
     spans = [
-        (1, 0, "engine", "try_execute", 0.0, 10.0),
-        (2, 1, "engine", "execute", 1.0, 9.0),
-        (3, 0, "engine", "execute", 11.0, 12.0),
-        (4, 3, "llm", "other", 11.5, 11.7),
+        _span("1", None, "try_execute", 0.0, 10.0),
+        _span("2", "1", "execute", 1.0, 9.0),
+        _span("3", None, "execute", 11.0, 12.0),
+        _span("4", "3", "other", 11.5, 11.7),
     ]
     seconds, count = tracing.inclusive(spans, ("execute", "try_execute"))
     assert (seconds, count) == (11.0, 2)
+
+
+def test_request_coverage_adds_queue_wait_to_its_batch_spans():
+    batch = {"db_id": "cordis", "questions": ["q1", "q2"]}
+    spans = [
+        # Batch 1 on one decode thread: links, predict, executions.
+        _span("1", None, "link", 10.0, 10.5),
+        _span("2", None, "link", 10.5, 11.0),
+        _span("3", None, "predict_batch", 11.2, 13.0, **batch),
+        _span("4", "3", "link", 11.3, 11.4),
+        _span("5", None, "try_execute", 13.0, 13.5),
+        _span("6", "5", "execute", 13.1, 13.4),
+        _span("7", None, "try_execute", 13.5, 14.0),
+        # Batch 2 on another thread, predict only.
+        _span("8", None, "predict_batch", 20.0, 21.0, thread="other",
+              db_id="sdss", questions=["q3"]),
+    ]
+    requests = [
+        ("cordis", "q1", 9.0, 5.5),   # waits 1.0, batch spans cover 3.8
+        ("cordis", "q2", 9.5, 5.0),   # waits 0.5
+        ("sdss", "q3", 19.0, 2.5),    # waits 1.0, predict 1.0
+        ("sdss", "q9", 19.0, 1.0),    # never decoded: covers nothing
+    ]
+    covered, total = tracing.request_coverage(spans, requests)
+    assert total == pytest.approx(5.5 + 5.0 + 2.5 + 1.0)
+    assert covered == pytest.approx((1.0 + 3.8) + (0.5 + 3.8) + (1.0 + 1.0))
 
 
 def test_wrapper_records_spans_when_the_call_raises():
@@ -148,4 +184,16 @@ def test_wrapper_records_spans_when_the_call_raises():
             Boom().go()
     finally:
         log.unwrap_all()
-    assert [s[tracing.NAME] for s in log.spans] == ["go"]
+    assert [(s.name, s.status) for s in log.spans] == [("go", "error")]
+
+
+def test_written_span_log_validates(tmp_path):
+    log = tracing.SpanLog(clock=_Clock())
+    log.wrap(_Layers, "inner", "nl2sql", "inner")
+    log.wrap(_Layers, "leaf", "engine", "leaf")
+    try:
+        with log.root():
+            _Layers().outer(2)
+    finally:
+        log.unwrap_all()
+    assert log.write(tmp_path / "spans.jsonl") == len(log.spans) == 5
