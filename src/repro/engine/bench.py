@@ -25,15 +25,13 @@ the tolerant cross-engine comparison of :mod:`repro.engine.diffexec`.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.datasets.records import BenchmarkDomain
 from repro.engine.backends import get_backend
 from repro.engine.executor import Executor, Result
 from repro.engine.vector import VectorEngine
 from repro.errors import ReproError
 from repro.obs import get_tracer
+from repro.obs.export import write_report
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.clock import SYSTEM_CLOCK
 from repro.sql import parse
@@ -330,13 +328,6 @@ def render_report(report: dict) -> str:
             + str(overall["vector_identical"]).lower()
         )
     return "\n".join(lines)
-
-
-def write_report(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 __all__ = [

@@ -35,7 +35,6 @@ domain, the full cross-engine correctness gate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -47,6 +46,7 @@ from repro.engine.executor import Result, _canonical
 from repro.errors import ExecutionError, ReproError
 from repro.metrics.execution import _is_ordered, results_match
 from repro.obs import get_tracer
+from repro.obs.export import write_report
 from repro.obs.metrics import MetricsRegistry
 from repro.sql import parse
 from repro.sql.printer import to_sql
@@ -425,13 +425,10 @@ def run_three_way(
 
 def write_reports(reports: list[DiffReport], path: str | Path) -> Path:
     """Write the JSON divergence report (one document, one entry per domain)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": 1,
         "benchmark": "diff-exec",
         "agreed": all(report.agreed for report in reports),
         "reports": [report.to_dict() for report in reports],
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_report(payload, path)

@@ -31,9 +31,9 @@ get an ``engine.plan`` span; counters land in a
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 
 from repro.errors import ExecutionError
+from repro.lru import BoundedLRU
 from repro.obs import MetricsRegistry, get_tracer
 from repro.sql import ast
 from repro.checks.lockorder import new_lock
@@ -86,12 +86,12 @@ class VectorEngine:
         self.database = database
         self.store = ColumnStore(database)
         self.metrics = metrics or MetricsRegistry()
-        self._plans: OrderedDict[ast.Query, QueryPlan] = OrderedDict()
+        self._plans: BoundedLRU[ast.Query, QueryPlan] = BoundedLRU(PLAN_CACHE_SIZE)
         # Identity-keyed front cache: repeated executions of the *same*
         # parsed Query object skip the deep structural hash.  Values hold a
         # strong reference to the query so its id cannot be recycled.
-        self._plans_by_id: OrderedDict[int, tuple[ast.Query, QueryPlan]] = (
-            OrderedDict()
+        self._plans_by_id: BoundedLRU[int, tuple[ast.Query, QueryPlan]] = (
+            BoundedLRU(PLAN_CACHE_SIZE)
         )
         self._lock = new_lock("engine.vector")
         self._local = threading.local()
@@ -176,8 +176,7 @@ class VectorEngine:
             else:
                 plan = self._plans.get(query)
                 if plan is not None:
-                    self._plans.move_to_end(query)
-                    self._remember_id_locked(key, query, plan)
+                    self._plans_by_id.put(key, (query, plan))
         if plan is not None:
             self._plan_hits.inc()
             return plan, True
@@ -190,18 +189,9 @@ class VectorEngine:
             plan = self._planner.plan_query(query)
         self._plans_built.inc()
         with self._lock:
-            self._plans[query] = plan
-            while len(self._plans) > PLAN_CACHE_SIZE:
-                self._plans.popitem(last=False)
-            self._remember_id_locked(id(query), query, plan)
+            self._plans.put(query, plan)
+            self._plans_by_id.put(key, (query, plan))
         return plan, False
-
-    def _remember_id_locked(
-        self, key: int, query: ast.Query, plan: QueryPlan
-    ) -> None:
-        self._plans_by_id[key] = (query, plan)
-        while len(self._plans_by_id) > PLAN_CACHE_SIZE:
-            self._plans_by_id.popitem(last=False)
 
     def _plan(self, query: ast.Query, sql: str | None = None) -> QueryPlan:
         plan, _cached = self._plan_traced(query)

@@ -4,12 +4,14 @@ One :class:`~repro.serving.server.InferenceServer` per process caps
 throughput at a single event loop and decode thread.  This package puts a
 fleet in front: a :class:`~repro.fleet.router.FleetRouter` consistent-hashes
 requests by ``(domain, normalized question)`` onto per-domain shards over N
-replica slots (:mod:`repro.fleet.hashring`), a fleet-shared result cache
-with single-flight dedup decodes each in-flight question exactly once
-across the whole fleet (:mod:`repro.fleet.cache`), per-tenant token-bucket
-quotas reject over-limit tenants structurally at admission
-(:mod:`repro.fleet.quotas`), and a rolling drain-and-swap protocol reloads
-models with zero dropped requests (:mod:`repro.fleet.replica`,
+replica slots (:mod:`repro.fleet.hashring`).  That is the servers' own
+result-cache key, so each key has one owner replica whose result cache and
+single-flight table (:mod:`repro.serving.cache`) answer its repeats and
+decode each in-flight question exactly once across the whole fleet; the
+router itself holds no results.  Per-tenant token-bucket quotas reject
+over-limit tenants structurally at admission (:mod:`repro.fleet.quotas`),
+and a rolling drain-and-swap protocol reloads models with zero dropped
+requests (:mod:`repro.fleet.replica`,
 :meth:`~repro.fleet.router.FleetRouter.reload`).
 
 Determinism contract: routing hashes are process-independent, replicas own
@@ -17,7 +19,6 @@ private model copies, and ``predict`` is pure — so for a fixed seed, fleet
 answers are byte-identical to the single-replica server's.
 """
 
-from repro.fleet.cache import Flight, SharedCache
 from repro.fleet.hashring import HashRing, stable_hash
 from repro.fleet.procpool import ProcessSystem, fork_available, process_backends
 from repro.fleet.quotas import QuotaPolicy, TenantQuotas, TokenBucket
@@ -40,12 +41,10 @@ __all__ = [
     "FleetError",
     "FleetRouter",
     "FleetSpec",
-    "Flight",
     "HashRing",
     "ProcessSystem",
     "QuotaPolicy",
     "Replica",
-    "SharedCache",
     "TenantQuotas",
     "TokenBucket",
     "build_fleet",

@@ -156,6 +156,7 @@ class Replica:
             "served": self.served,
             "domains": list(self.domains),
             "pending": self.server.pending(),
+            "cache": self.server.cache.stats(),
         }
 
 

@@ -1,42 +1,44 @@
-"""The fleet router: shards, single-flight, quotas, failover, reload.
+"""The fleet router: shards, quotas, failover, reload.
 
 Request lifecycle::
 
     submit(question, domain, tenant)
         │ tenant token bucket empty ──────────> "rejected" (kind "quota")
-        │ fleet-shared result cache hit ──────> answer (cached=True)
-        │ identical question in flight ───────> await leader (single_flight)
         ▼
     consistent-hash ring for the domain: owner slot, then siblings
         │ owner breaker open / answer "failed" or "rejected"
         │         └──> retry the shard on the next sibling (fleet.retries)
         ▼
-    replica.submit → InferenceServer (queue → batch → decode)
-        ▼
-    leader settles the flight, primary answers land in the shared cache
+    replica.submit → InferenceServer (cache → flight → queue → batch)
 
-Routing is deterministic: the key is ``(domain, normalized question)`` and
-the ring hashes with :func:`~repro.fleet.hashring.stable_hash`, so a fixed
-request stream always shards the same way.  Combined with replica-private
-model copies (:func:`~repro.fleet.replica.clone_backends`) and pure
-``predict``, fleet answers are byte-identical to a single replica's.
+The router holds no results.  Its ring keys on ``(domain, normalized
+question)`` — the server's result-cache key — so every key lands on the
+one replica that owns it, and that replica's cache and single-flight table
+answer repeats and coalesce concurrent duplicates for the whole fleet.
+Only failover gives a key a second copy (on the sibling that served it),
+and copies cannot diverge: replicas are clones and ``predict`` is pure.
+
+Routing is deterministic: the ring hashes with
+:func:`~repro.fleet.hashring.stable_hash`, so a fixed request stream
+always shards the same way.  Combined with replica-private model copies
+(:func:`~repro.fleet.replica.clone_backends`) and pure ``predict``, fleet
+answers are byte-identical to a single replica's.
 
 Zero-downtime reload (:meth:`FleetRouter.reload`) is rolling, one slot at
 a time: build a fresh replica from the factory (warm-started from the
 artifact cache when the factory loads through the runtime), start it,
 atomically swap it into the slot — the ring keys on slot names, so shard
 ownership does not move — then drain the old replica (finish its in-flight
-requests, stop it).  No accepted request is dropped; the shared cache is
-invalidated once after the roll so answers from the previous model
-generation cannot outlive it.
+requests, stop it).  No accepted request is dropped, and no cached answer
+outlives its model generation: the swapped-in server starts with an empty
+cache, and the old server's cache leaves with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 from repro.errors import ReproError
-from repro.fleet.cache import SharedCache
 from repro.fleet.hashring import HashRing
 from repro.fleet.quotas import TenantQuotas
 from repro.fleet.replica import Replica, make_replica
@@ -44,9 +46,9 @@ from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry, merged_snapshot
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import SYSTEM_CLOCK
-from repro.serving.cache import CachedResult
 from repro.serving.request import ServeError, ServeResult
 from repro.serving.server import ServerConfig
+from repro.textutil import normalize_question
 
 
 class FleetError(ReproError):
@@ -57,8 +59,6 @@ class FleetError(ReproError):
 class FleetConfig:
     """Routing and robustness knobs of one :class:`FleetRouter`."""
 
-    #: Fleet-shared result-cache entries (0 disables caching).
-    cache_capacity: int = 256
     #: Virtual nodes per replica slot on each domain's ring.
     vnodes: int = 64
     #: Sibling replicas tried after the shard owner fails.
@@ -83,8 +83,6 @@ class FleetConfig:
 COUNTERS = (
     "requests",       # everything submitted to the router
     "routed",         # requests dispatched to a replica
-    "cache_hits",     # answered from the fleet-shared cache
-    "single_flight",  # followers coalesced onto an in-flight decode
     "retries",        # shard retried on a sibling replica
     "fast_failed",    # replicas skipped because their breaker was open
     "quota_rejected", # admissions rejected by a tenant quota
@@ -95,7 +93,7 @@ COUNTERS = (
 
 
 class FleetRouter:
-    """Routes requests over a set of replica slots with shared caching."""
+    """Routes requests over a set of replica slots."""
 
     def __init__(
         self,
@@ -111,7 +109,6 @@ class FleetRouter:
         self.factory = factory
         self.clock = clock
         self.registry = registry or MetricsRegistry()
-        self.cache = SharedCache(self.config.cache_capacity)
         self._replicas: dict[str, Replica] = {}
         self._rings: dict[str, HashRing] = {}
         self._breakers: dict[str, CircuitBreaker] = {}
@@ -180,7 +177,6 @@ class FleetRouter:
         self, question: str, domain: str, tenant: str = "default"
     ) -> ServeResult:
         """Serve one question through the fleet; never raises per-request."""
-        started = self.clock.now()
         tracer = get_tracer()
         with tracer.span("fleet.request", domain=domain, tenant=tenant) as span:
             self._count("requests")
@@ -210,40 +206,7 @@ class FleetRouter:
                     ),
                 )
 
-            hit, entry = self.cache.get(domain, question)
-            if hit:
-                self._count("cache_hits")
-                self._tenant_count(tenant, "served")
-                span.set_attr("status", "ok")
-                span.set_attr("cache", "hit")
-                return ServeResult(
-                    question=question, domain=domain, sql=entry.sql,
-                    rows=entry.rows, status="ok", cached=True, tenant=tenant,
-                    timings_ms={"total": (self.clock.now() - started) * 1000.0},
-                )
-
-            flight = self.cache.flight(domain, question)
-            if not flight.leader:
-                self._count("single_flight")
-                span.set_attr("single_flight", True)
-                leader_result = await flight.future
-                result = self._follower_result(
-                    question, domain, leader_result, started
-                )
-            else:
-                result = None
-                try:
-                    result = await self._dispatch(question, domain, ring, span)
-                    if result.status == "ok":
-                        self.cache.put(
-                            domain, question,
-                            CachedResult(sql=result.sql, rows=result.rows),
-                        )
-                finally:
-                    # Followers must never hang: settle even if dispatch
-                    # raised (they synthesize a failure from ``None``).
-                    self.cache.settle(flight, result)
-
+            result = await self._dispatch(question, domain, ring, span)
             result.tenant = tenant
             self._tenant_count(
                 tenant, "served" if result.ok else result.status
@@ -251,35 +214,13 @@ class FleetRouter:
             span.set_attr("status", result.status)
             return result
 
-    def _follower_result(
-        self, question: str, domain: str, leader_result, started: float
-    ) -> ServeResult:
-        total_ms = (self.clock.now() - started) * 1000.0
-        if leader_result is None:
-            return ServeResult(
-                question=question, domain=domain, status="failed",
-                single_flight=True,
-                error=ServeError(
-                    "leader-crashed",
-                    "the in-flight decode this request coalesced onto "
-                    "crashed without a result",
-                ),
-                timings_ms={"total": total_ms},
-            )
-        # Only ``total`` is this request's own; the leader's stage timings
-        # (queue/decode) describe work the follower never performed.
-        return dc_replace(
-            leader_result,
-            question=question,
-            single_flight=True,
-            timings_ms={"total": total_ms},
-        )
-
     async def _dispatch(
         self, question: str, domain: str, ring: HashRing, span
     ) -> ServeResult:
         """Try the shard owner, then its ring-order siblings."""
-        key = self.cache.key(domain, question)[1]
+        # The server's result-cache key within the domain's ring, so the
+        # owner is the one replica that caches and coalesces this question.
+        key = normalize_question(question)
         candidates = ring.nodes_for(key, self.config.retries + 1)
         last: ServeResult | None = None
         attempted = 0
@@ -327,8 +268,8 @@ class FleetRouter:
         names, so no shard ownership moves), reset the slot's breaker, then
         drain and stop the old replica.  New requests route to the new
         replica the moment the swap lands; requests the old replica already
-        accepted complete on it.  The shared result cache is invalidated
-        once at the end of the roll.
+        accepted complete on it.  The fresh replica starts with an empty
+        result cache, so no answer of the old generation is served again.
         """
         factory = factory or self.factory
         if factory is None:
@@ -366,9 +307,8 @@ class FleetRouter:
                         "drained_requests": drained,
                     }
                 )
-        invalidated = self.cache.invalidate()
         self._count("reloads")
-        return {"swaps": swaps, "cache_invalidated": invalidated}
+        return {"swaps": swaps}
 
     # -- observability ----------------------------------------------------------------
 
@@ -392,7 +332,6 @@ class FleetRouter:
         """A point-in-time fleet snapshot (JSON-serializable)."""
         return {
             "counters": self.counters,
-            "cache": self.cache.stats(),
             "pending": self.pending(),
             "replicas": {
                 slot: replica.snapshot()
@@ -429,16 +368,14 @@ def build_fleet(
 ) -> FleetRouter:
     """Assemble a router over ``replicas`` cloned slots of ``backends``.
 
-    Per-replica result caches are disabled (``cache_capacity=0``): the
-    fleet-shared cache is the only result cache, which is what makes cache
-    coherence trivial.  The default reload factory re-serves the same
-    backends (fresh clones per replica).
+    Every replica runs ``server_config``, result cache included: the ring
+    sends each key to one owner, so the owners' caches never overlap.  The
+    default reload factory re-serves the same backends (fresh clones per
+    replica).
     """
     if replicas < 1:
         raise FleetError("a fleet needs at least one replica")
-    server_config = dc_replace(
-        server_config or ServerConfig(), cache_capacity=0
-    )
+    server_config = server_config or ServerConfig()
     router = FleetRouter(
         config=config,
         quotas=quotas,

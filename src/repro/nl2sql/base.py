@@ -19,12 +19,12 @@ Training populates two stores per system:
 from __future__ import annotations
 
 import abc
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.datasets.records import NLSQLPair
 from repro.engine.database import Database
 from repro.errors import TrainingError
+from repro.lru import BoundedLRU
 from repro.nl2sql.lexicon import LearnedLexicon
 from repro.nl2sql.linking import Links, SchemaLinker
 from repro.nl2sql.templates_store import TemplateStore
@@ -54,7 +54,9 @@ class NLToSQLSystem(abc.ABC):
         self._lexicons: dict[str, LearnedLexicon] = {}
         self.templates = TemplateStore()
         self._trained = False
-        self._link_cache: OrderedDict[tuple[str, str], Links] = OrderedDict()
+        self._link_cache: BoundedLRU[tuple[str, str], Links] = BoundedLRU(
+            self.LINK_CACHE_SIZE
+        )
 
     # -- registration -------------------------------------------------------------
 
@@ -105,15 +107,11 @@ class NLToSQLSystem(abc.ABC):
         the memo because both change what linking would return.
         """
         key = (db_id, question)
-        cached = self._link_cache.get(key)
-        if cached is not None:
-            self._link_cache.move_to_end(key)
-            return cached
-        lexicon = self._lexicons.get(db_id)
-        links = self._linkers[db_id].link(question, learned=lexicon)
-        self._link_cache[key] = links
-        if len(self._link_cache) > self.LINK_CACHE_SIZE:
-            self._link_cache.popitem(last=False)
+        links = self._link_cache.get(key)
+        if links is None:
+            lexicon = self._lexicons.get(db_id)
+            links = self._linkers[db_id].link(question, learned=lexicon)
+            self._link_cache.put(key, links)
         return links
 
     def predict(self, question: str, db_id: str) -> str | None:

@@ -62,7 +62,9 @@ class LearnedLexicon:
     def observe(self, question: str, sql: str, schema) -> bool:
         """Learn from one NL/SQL pair; returns False if the SQL is outside
         the SemQL subset (such pairs still count toward n-gram frequency)."""
-        ngrams = set(content_ngrams(question))
+        # Every set below is walked in sorted order: the counters' insertion
+        # order breaks most_common() ties, and set order follows the hash seed.
+        ngrams = sorted(set(content_ngrams(question)))
         for ngram in ngrams:
             self.ngram_freq[ngram] += 1
         self.n_pairs += 1
@@ -95,19 +97,17 @@ class LearnedLexicon:
                     continue
                 values.add((table, column.name.lower(), str(leaf.value).lower()))
 
+        learned = (
+            (self.column_assoc, sorted(columns)),
+            (self.table_assoc, sorted(tables)),
+            (self.value_assoc, sorted(values)),
+        )
         for ngram in ngrams:
-            if columns:
-                bucket = self.column_assoc.setdefault(ngram, Counter())
-                for key in columns:
-                    bucket[key] += 1
-            if tables:
-                bucket = self.table_assoc.setdefault(ngram, Counter())
-                for key in tables:
-                    bucket[key] += 1
-            if values:
-                bucket = self.value_assoc.setdefault(ngram, Counter())
-                for key in values:
-                    bucket[key] += 1
+            for assoc, keys in learned:
+                if keys:
+                    bucket = assoc.setdefault(ngram, Counter())
+                    for key in keys:
+                        bucket[key] += 1
         return True
 
     # -- scoring --------------------------------------------------------------------

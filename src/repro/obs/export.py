@@ -1,5 +1,5 @@
-"""Trace exporters: Chrome ``trace_event`` JSON, a JSONL span log, and a
-terminal flame summary.
+"""Exporters: Chrome ``trace_event`` JSON, a JSONL span log, a terminal
+flame summary, and the JSON writer every bench report goes through.
 
 * :func:`write_chrome_trace` emits the classic ``traceEvents`` array of
   complete (``"ph": "X"``) events plus thread/process-name metadata; the
@@ -9,6 +9,10 @@ terminal flame summary.
 * :func:`flame_summary` aggregates the span tree by name-path and renders a
   top-down table of total/self time — the "where did the time go" answer
   without leaving the terminal.
+* :func:`write_report` writes a bench report (``engine-bench``,
+  ``serve-bench``, ``chaos-bench``, ``robustness-bench``, ``diff-exec``)
+  as sorted, indented JSON, so reruns of the same report are
+  byte-identical files.
 """
 
 from __future__ import annotations
@@ -218,3 +222,14 @@ def flame_summary(spans, max_lines: int = 40) -> str:
     if truncated[0]:
         lines.append(f"… {truncated[0]} more rows (raise max_lines to see them)")
     return "\n".join(lines)
+
+
+# -- bench reports -------------------------------------------------------------
+
+
+def write_report(report: dict, path: str | Path) -> Path:
+    """Write ``report`` as sorted, indented JSON (parents created)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return path

@@ -22,12 +22,11 @@ and recovery counts surfaced under ``"faults"``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
-from pathlib import Path
 
 from repro import adapters, obs
 from repro.errors import PerturbationError
+from repro.obs.export import write_report as write_report  # re-exported
 from repro.obs.metrics import MetricsRegistry
 from repro.perturb import FAMILY_NAMES, SEVERITIES
 from repro.perturb.base import BASELINE_FAMILY
@@ -278,13 +277,6 @@ def evaluate_robustness_gates(
                 "changed results under schema widening"
             )
     return failures
-
-
-def write_report(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_report(report: dict) -> str:

@@ -36,6 +36,7 @@ from repro.experiments.tasks import (
 )
 from repro.llm.models import GPT3_PROFILE, make_model
 from repro.obs import get_tracer
+from repro.obs.export import write_report as write_report  # re-exported
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import SYSTEM_CLOCK, FakeClock
@@ -283,13 +284,6 @@ def run_chaos_bench(
     # Unified-registry snapshot: chaos-arm runtime + resilience instruments.
     report["registry"] = registry.snapshot()
     return report
-
-
-def write_report(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def render_report(report: dict) -> str:

@@ -28,7 +28,9 @@ from dataclasses import dataclass, field
 #: Bump to invalidate every content hash (and therefore every cache entry)
 #: when the artifact format or task semantics change incompatibly.
 #: 2: trained-system artifacts carry the schema-linking memo (serving).
-GRAPH_FORMAT = 2
+#: 3: the memo is a ``BoundedLRU`` and learned lexicons fill their counters
+#:    in sorted order, so most_common ties no longer follow the hash seed.
+GRAPH_FORMAT = 3
 
 
 def derive_seed(base_seed: int, task_name: str) -> int:

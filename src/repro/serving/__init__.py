@@ -5,10 +5,16 @@ service: trained per-domain systems are warm-started from the runtime's
 artifact cache (:mod:`repro.serving.loader`), concurrent questions flow
 through bounded per-domain queues into a micro-batching scheduler
 (:mod:`repro.serving.scheduler`), decoded answers land in a normalized
-LRU result cache (:mod:`repro.serving.cache`), and every stage is
+LRU result cache whose single-flight table decodes concurrent repeats of
+a question once (:mod:`repro.serving.cache`), and every stage is
 observable (:mod:`repro.serving.metrics`).  ``serve-bench``
 (:mod:`repro.serving.loadgen`) replays dev-split questions to quantify
 what batching and caching buy.
+
+The server owns the only result cache.  In a fleet
+(:mod:`repro.fleet`) every replica's server keeps its own, and the router
+sends each ``(domain, normalized question)`` key to the one replica that
+owns it, so the router needs no cache of its own.
 """
 
 from repro.serving.cache import CachedResult, ResultCache

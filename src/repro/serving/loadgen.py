@@ -5,10 +5,10 @@
 * **unbatched** — ``max_batch=1`` and the result cache disabled: a naive
   one-question-at-a-time service, the baseline.
 * **batched** — the full single-server stack: micro-batch coalescing plus
-  the normalized-question result cache.
+  the normalized-question result cache and its single-flight table.
 * **fleet** (``--replicas N``) — the same stream through a
-  :class:`~repro.fleet.router.FleetRouter` over N replicas with the
-  fleet-shared single-flight cache.
+  :class:`~repro.fleet.router.FleetRouter` over N replicas, each key
+  cached and coalesced by the one replica that owns it.
 * **soak** (``--qps``) — an open-loop sustained arm against the fleet:
   multi-tenant pacing at a fixed offered rate, optionally under per-tenant
   token-bucket quotas, gated on p99 and per-tenant fairness.
@@ -25,14 +25,13 @@ batched arm (``fleet_identity``): same stream, same seed, same SQL.
 from __future__ import annotations
 
 import asyncio
-import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 from repro import obs
 from repro.obs import get_tracer
+from repro.obs.export import write_report as write_report  # re-exported
 from repro.resilience.clock import SYSTEM_CLOCK
 from repro.serving.metrics import STAGES, LatencyHistogram
 from repro.serving.server import InferenceServer, ServerConfig
@@ -318,6 +317,16 @@ async def _run_arm(
     return arm
 
 
+def _fleet_counters(router) -> dict:
+    """The router's ``fleet.*`` counters plus every replica's serving
+    counters summed (cache hits and single-flight happen on the replicas)."""
+    counters = dict(router.counters)
+    for replica in router.replicas.values():
+        for name, value in replica.server.metrics.counters.items():
+            counters[name] = counters.get(name, 0) + value
+    return counters
+
+
 def _merged_stage_latency(router) -> dict:
     """Fleet-wide per-stage latency: every replica's histograms merged."""
     merged = {}
@@ -350,7 +359,6 @@ async def _run_fleet_arm(
         fleet_profile.replicas,
         server_config=config,
         config=FleetConfig(
-            cache_capacity=config.cache_capacity,
             vnodes=fleet_profile.vnodes,
             isolation=fleet_profile.isolation,
         ),
@@ -381,8 +389,7 @@ async def _run_fleet_arm(
         {
             "queue_depth": queue_depth,
             "replicas": fleet_profile.replicas,
-            "counters": fleet_stats["counters"],
-            "cache": fleet_stats["cache"],
+            "counters": _fleet_counters(router),
             "stage_latency_ms": _merged_stage_latency(router),
             # Per-replica circuit breakers (uniform key for the gates).
             "breakers": fleet_stats["breakers"],
@@ -614,13 +621,6 @@ def evaluate_gates(
     return failures
 
 
-def write_report(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
-
-
 def render_report(report: dict) -> str:
     """A short human-readable summary of one serve-bench report."""
     lines = [
@@ -639,7 +639,8 @@ def render_report(report: dict) -> str:
         counters = data["counters"]
         extras = (
             f"cache_hits {counters['cache_hits']}   "
-            f"coalesced {counters.get('coalesced', counters.get('single_flight', 0))}"
+            f"single_flight {counters['single_flight']}   "
+            f"coalesced {counters['coalesced']}"
         )
         lines.append(
             f"  {arm:>9}: {data['throughput_qps']:8.1f} req/s   "

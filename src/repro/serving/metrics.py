@@ -26,6 +26,7 @@ COUNTERS = (
     "batched",     # requests decoded as part of a batch of size >= 2
     "coalesced",   # duplicate in-batch questions merged into one decode
     "cache_hits",  # requests answered from the result cache
+    "single_flight",  # requests coalesced onto a concurrent leader's decode
     "rejected",    # admission rejections (bounded queue full)
     "degraded",    # requests answered by the fallback system
     "timeouts",    # requests that hit the per-request timeout

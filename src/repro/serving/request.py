@@ -44,17 +44,20 @@ class ServeResult:
     error: ServeError | None = None
     #: Served from the result cache (no decode happened for this request).
     cached: bool = False
-    #: Slot of the fleet replica that decoded this request (None outside a
-    #: fleet, and for cache hits / rejections that never reached a replica).
+    #: Slot of the fleet replica that answered this request, from its
+    #: cache, its single-flight table or a decode (None outside a fleet,
+    #: and for requests the router answered itself: quota rejections,
+    #: unknown domains, no live replica).
     replica: str | None = None
-    #: Coalesced onto another request's in-flight decode by the fleet's
-    #: single-flight table (no decode happened for this request either).
+    #: Coalesced onto a concurrent request's in-flight decode of the same
+    #: normalized question by the server's single-flight table (no decode
+    #: happened for this request either).
     single_flight: bool = False
     #: Tenant the fleet router accounted this request to (None outside a
     #: fleet; the single server has no tenant concept).
     tenant: str | None = None
     #: Number of requests decoded together with this one (0 for non-decoded
-    #: outcomes: cache hits, rejections, timeouts).
+    #: outcomes: cache hits, single-flight followers, rejections, timeouts).
     batch_size: int = 0
     #: Per-stage wall time in milliseconds.  ``queue`` and ``total`` are
     #: per-request; ``link``/``decode``/``execute`` are the batch's shared

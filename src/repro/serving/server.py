@@ -3,6 +3,7 @@
 Request lifecycle::
 
     submit() ──> result cache ──hit──> ServeResult(cached=True)
+        │ same key in flight ──────────> await the leader (single_flight=True)
         │ queue full? ────────────────> status "rejected" (admission control)
         ▼
     per-domain bounded asyncio.Queue
@@ -11,15 +12,18 @@ Request lifecycle::
         link warm → predict_batch → optional execute
         │ primary raises ──> per-question retry ──> template fallback
         ▼
-    futures resolved, latencies recorded, primary answers cached
+    futures resolved, latencies recorded, primary answers cached,
+    the leader settles its flight for every follower
 
 Determinism contract: a batch deduplicates only *exact* duplicate
 questions, and ``predict_batch`` is pure, so for any interleaving and any
 batch size the served SQL is byte-identical to calling ``system.predict``
 one question at a time (asserted across batch sizes and request orders in
 ``tests/test_serving.py``).  The result cache is the one deliberate
-exception: it keys on the *normalized* question, treating case/whitespace
-variants as the same question.
+exception: it and its single-flight table key on the *normalized*
+question, treating case/whitespace variants as the same question.  With
+``cache_capacity=0`` neither exists and every question is served exactly
+as ``system.predict`` returns it.
 
 Robustness: admission is rejected explicitly when a domain's bounded queue
 is full (no unbounded growth), every request carries a timeout that
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as dc_replace
 
 from repro.obs import get_tracer
 from repro.resilience.breaker import CircuitBreaker
@@ -68,7 +72,7 @@ class ServerConfig:
     #: Bounded per-domain queue; a full queue rejects admissions.
     queue_limit: int = 64
     request_timeout_s: float = 30.0
-    #: Result-cache entries (0 disables caching).
+    #: Result-cache entries (0 disables caching and single-flight).
     cache_capacity: int = 256
     #: Also execute the predicted SQL and attach the result rows.
     execute: bool = False
@@ -233,42 +237,96 @@ class InferenceServer:
                 )
             span.set_attr("cache", "miss")
 
-            queue = self._queues[domain]
-            if queue.full():
-                span.set_attr("status", "rejected")
-                self.metrics.count("rejected")
-                return self._error_result(
-                    question, domain, "rejected",
-                    ServeError(
-                        "rejected",
-                        f"admission rejected: {domain!r} queue is at its limit "
-                        f"of {self.config.queue_limit}",
-                    ),
-                )
-            item = _Pending(question, asyncio.get_running_loop().create_future(), started)
-            # Parents to serve.request via the contextvar; the worker ends it.
-            item.queue_span = tracer.start_span("serve.queue")
-            queue.put_nowait(item)
-            try:
-                result = await asyncio.wait_for(
-                    asyncio.shield(item.future), self.config.request_timeout_s
-                )
-            except asyncio.TimeoutError:
-                item.abandoned = True
-                span.set_attr("status", "timeout")
-                self.metrics.count("timeouts")
-                return self._error_result(
-                    question, domain, "timeout",
-                    ServeError(
-                        "timeout",
-                        f"no result within {self.config.request_timeout_s:g}s",
-                    ),
-                )
-            total = self.clock.now() - started
-            result.timings_ms["total"] = total * 1000.0
-            self.metrics.observe("total", total)
+            flight = self.cache.flight(domain, question)
+            if flight is not None and not flight.leader:
+                span.set_attr("single_flight", True)
+                # Shielded: a cancelled follower must not cancel the future
+                # the leader and every other follower share.
+                leader_result = await asyncio.shield(flight.future)
+                result = self._follower_result(question, domain, leader_result, started)
+            else:
+                result = None
+                try:
+                    result = await self._enqueue(question, domain, started)
+                finally:
+                    # Followers must never hang: settle even if the wait
+                    # raised (they synthesize a failure from ``None``).
+                    if flight is not None:
+                        self.cache.settle(flight, result)
             span.set_attr("status", result.status)
             return result
+
+    async def _enqueue(self, question: str, domain: str, started: float) -> ServeResult:
+        """Queue one question for its domain's worker and await the answer."""
+        queue = self._queues[domain]
+        if queue.full():
+            self.metrics.count("rejected")
+            return self._error_result(
+                question, domain, "rejected",
+                ServeError(
+                    "rejected",
+                    f"admission rejected: {domain!r} queue is at its limit "
+                    f"of {self.config.queue_limit}",
+                ),
+            )
+        item = _Pending(question, asyncio.get_running_loop().create_future(), started)
+        # Parents to serve.request via the contextvar; the worker ends it.
+        item.queue_span = get_tracer().start_span("serve.queue")
+        queue.put_nowait(item)
+        try:
+            result = await asyncio.wait_for(
+                asyncio.shield(item.future), self.config.request_timeout_s
+            )
+        except asyncio.TimeoutError:
+            item.abandoned = True
+            self.metrics.count("timeouts")
+            return self._error_result(
+                question, domain, "timeout",
+                ServeError(
+                    "timeout",
+                    f"no result within {self.config.request_timeout_s:g}s",
+                ),
+            )
+        total = self.clock.now() - started
+        result.timings_ms["total"] = total * 1000.0
+        self.metrics.observe("total", total)
+        return result
+
+    def _follower_result(
+        self, question: str, domain: str, leader_result, started: float
+    ) -> ServeResult:
+        """A coalesced request's outcome: its leader's, under its own
+        question and its own ``total`` time."""
+        self.metrics.count("single_flight")
+        total = self.clock.now() - started
+        self.metrics.observe("total", total)
+        if leader_result is None:
+            self.metrics.count("failed")
+            return ServeResult(
+                question=question, domain=domain, status="failed",
+                single_flight=True,
+                error=ServeError(
+                    "leader-crashed",
+                    "the in-flight decode this request coalesced onto "
+                    "crashed without a result",
+                ),
+                timings_ms={"total": total * 1000.0},
+            )
+        status = leader_result.status
+        if leader_result.ok:
+            self.metrics.count("served")
+        if status != "ok":
+            # Every other status names its counter, except ``timeouts``.
+            self.metrics.count("timeouts" if status == "timeout" else status)
+        # Only ``total`` is this request's own; the leader's batch and stage
+        # timings (queue/link/decode) describe work the follower never did.
+        return dc_replace(
+            leader_result,
+            question=question,
+            single_flight=True,
+            batch_size=0,
+            timings_ms={"total": total * 1000.0},
+        )
 
     def pending(self) -> int:
         """Requests currently queued (admitted, not yet dequeued)."""

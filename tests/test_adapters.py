@@ -219,19 +219,7 @@ def test_toy_adapter_through_tables_cli(capsys):
         _forget_climate()
 
 
-# -- deprecation shims ----------------------------------------------------------
-
-
-def test_tasks_module_shims_warn_and_delegate():
-    from repro.experiments import tasks
-
-    with pytest.warns(DeprecationWarning):
-        assert tasks.DOMAINS == tasks.DEFAULT_DOMAINS
-    with pytest.warns(DeprecationWarning):
-        builders = tasks.DOMAIN_BUILDERS
-    assert set(builders) == set(tasks.DEFAULT_DOMAINS)
-    domain = builders["oncomx"](scale=0.1)
-    assert domain.name == "oncomx"
+# -- task graph -----------------------------------------------------------------
 
 
 def test_task_graph_carries_adapter_specs():

@@ -3,7 +3,9 @@
 The load-bearing guarantees:
 
 * **Single-flight** — K concurrent identical questions decode exactly once
-  across the whole fleet and all K get answers (property-based over K).
+  across the whole fleet and all K get answers (property-based over K):
+  the router sends the key to its one owner replica, whose result cache
+  coalesces the duplicates.
 * **Zero-downtime reload** — requests racing a rolling reload all succeed;
   none are dropped, rejected or failed, and answers switch to the new
   model generation afterwards.
@@ -29,7 +31,6 @@ from repro.fleet import (
     FleetSpec,
     HashRing,
     QuotaPolicy,
-    SharedCache,
     TenantQuotas,
     TokenBucket,
     build_fleet,
@@ -45,7 +46,7 @@ from repro.serving import (
     evaluate_gates,
     run_serve_bench,
 )
-from repro.serving.cache import CachedResult
+from repro.serving.cache import ResultCache
 
 
 def run(coro):
@@ -182,12 +183,12 @@ def test_tenant_quotas_default_none_is_unlimited():
     assert not quotas.admit("noisy")
 
 
-# -- shared cache / single-flight ------------------------------------------------
+# -- owner-held result cache / single-flight --------------------------------------
 
 
 def test_shared_cache_single_flight_mechanics():
     async def scenario():
-        cache = SharedCache(capacity=8)
+        cache = ResultCache(capacity=8)
         leader = cache.flight("demo", "What is X?")
         follower = cache.flight("demo", "what is x?")  # normalizes to same key
         assert leader.leader and not follower.leader
@@ -203,7 +204,7 @@ def test_shared_cache_single_flight_mechanics():
 
 def test_shared_cache_aborted_leader_settles_followers_with_none():
     async def scenario():
-        cache = SharedCache()
+        cache = ResultCache()
         leader = cache.flight("demo", "q")
         follower = cache.flight("demo", "q")
         cache.settle(leader, None)
@@ -211,15 +212,6 @@ def test_shared_cache_aborted_leader_settles_followers_with_none():
         assert cache.aborted == 1
 
     run(scenario())
-
-
-def test_shared_cache_invalidate_reports_dropped_count():
-    cache = SharedCache(capacity=8)
-    cache.put("demo", "q1", CachedResult(sql="SELECT 1"))
-    cache.put("demo", "q2", CachedResult(sql="SELECT 2"))
-    assert cache.invalidate() == 2
-    hit, _ = cache.get("demo", "q1")
-    assert not hit
 
 
 # -- router ---------------------------------------------------------------------
@@ -246,9 +238,8 @@ def test_fleet_routes_and_tags_results():
 
 def test_fleet_routing_is_deterministic_across_fleets():
     async def shard_map():
-        config = FleetConfig(cache_capacity=0)
         router = build_fleet(
-            demo_backends(), 3, server_config=fast_config(), config=config
+            demo_backends(), 3, server_config=fast_config(cache_capacity=0)
         )
         async with router:
             results = await asyncio.gather(
@@ -323,20 +314,19 @@ def _owned_question(router, slot, domain="demo"):
     ring = router._rings[domain]
     for i in range(1000):
         question = f"probe question {i}"
-        if ring.node_for(SharedCache.key(domain, question)[1]) == slot:
+        if ring.node_for(ResultCache.key(domain, question)[1]) == slot:
             return question
     raise AssertionError(f"no probe question owned by {slot}")
 
 
 def test_failed_shard_owner_retries_on_its_sibling():
     async def scenario():
-        router = FleetRouter(
-            FleetConfig(retries=1, breaker_failures=1, cache_capacity=0)
-        )
+        router = FleetRouter(FleetConfig(retries=1, breaker_failures=1))
+        config = fast_config(cache_capacity=0)
         router.add_replica(
-            make_replica("r0", demo_backends(FaultySystem()), fast_config())
+            make_replica("r0", demo_backends(FaultySystem()), config)
         )
-        router.add_replica(make_replica("r1", demo_backends(), fast_config()))
+        router.add_replica(make_replica("r1", demo_backends(), config))
         async with router:
             question = _owned_question(router, "r0")
             first = await router.submit(question, "demo")
@@ -422,6 +412,30 @@ def test_reload_swaps_generations_without_dropping_requests():
     assert after.sql.startswith("SELECT v2 ")
     assert router.counters["reloads"] == 1
     assert router.counters["swapped"] == 2
+
+
+def test_reload_leaves_no_cached_answer_of_the_old_generation():
+    """Swapped-in servers start with empty caches: a question cached before
+    the roll is decoded again by the new model generation after it."""
+
+    async def scenario():
+        router = build_fleet(
+            demo_backends(),
+            2,
+            server_config=fast_config(),
+            factory=lambda: demo_backends(V2System()),
+        )
+        async with router:
+            before = await router.submit("what is x?", "demo")
+            repeat = await router.submit("What is X?", "demo")
+            await router.reload()
+            after = await router.submit("what is x?", "demo")
+        return before, repeat, after
+
+    before, repeat, after = run(scenario())
+    assert repeat.cached and repeat.sql == before.sql
+    assert repeat.replica == before.replica  # the key's one owner
+    assert not after.cached and after.sql.startswith("SELECT v2 ")
 
 
 def test_reload_without_factory_raises():

@@ -1,6 +1,12 @@
 """Unit tests for the NL-to-SQL building blocks: features, learned lexicon,
 schema linking and guided instantiation."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.nl2sql.features import (
@@ -131,6 +137,62 @@ def test_out_of_grammar_sql_still_counts_frequency(mini_schema):
     ok = lexicon.observe("weird question", "SELECT a FROM nope WHERE", mini_schema)
     assert not ok
     assert lexicon.n_pairs == 1
+
+
+#: Trains a lexicon on the cordis seed split and prints, as JSON, what
+#: most_common() picks for every n-gram plus what scoring derives from those
+#: picks on each dev question.
+_LEXICON_PICKS = """
+import json
+from repro import adapters
+from repro.nl2sql.lexicon import LearnedLexicon
+
+domain = adapters.get_adapter("cordis").build(scale=0.2)
+lexicon = LearnedLexicon(db_id=domain.name)
+for pair in domain.seed.pairs:
+    lexicon.observe(pair.question, pair.sql, domain.database.schema)
+tables = {
+    "column": lexicon.column_assoc,
+    "table": lexicon.table_assoc,
+    "value": lexicon.value_assoc,
+}
+picks = {
+    name: {ngram: bucket.most_common(1)[0][0] for ngram, bucket in assoc.items()}
+    for name, assoc in tables.items()
+}
+picks["dev"] = [
+    [
+        lexicon.concentrated_column_ngrams(pair.question),
+        lexicon.column_scores(pair.question).most_common(),
+        lexicon.value_scores(pair.question).most_common(),
+    ]
+    for pair in domain.dev.pairs
+]
+print(json.dumps(picks, sort_keys=True))
+"""
+
+
+def test_lexicon_picks_do_not_depend_on_the_hash_seed():
+    """most_common() breaks ties by insertion order, so training must fill
+    the counters in an order the interpreter's hash seed cannot change."""
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LEXICON_PICKS],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={
+                "PYTHONPATH": str(root / "src"),
+                "PYTHONHASHSEED": hash_seed,
+                "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0]["column"] and outputs[0]["value"]
+    assert outputs[0] == outputs[1]
 
 
 # --- schema linking ------------------------------------------------------------------

@@ -263,17 +263,14 @@ def test_suite_artifacts_are_memoized_per_task(warm_cache_dir):
     assert suite.corpus is suite.corpus
 
 
-def test_tasks_domains_shim_warns():
-    # get_suite is gone (removed after its deprecation cycle); the module
-    # constants DOMAINS/DOMAIN_BUILDERS are the remaining shims.
+def test_deprecated_entry_points_are_gone():
+    # get_suite and the module constants DOMAINS/DOMAIN_BUILDERS were removed
+    # after their deprecation cycles; the adapter registry replaces them.
     from repro.experiments import runner, tasks
 
     assert not hasattr(runner, "get_suite")
-    with pytest.warns(DeprecationWarning):
-        assert tasks.DOMAINS == ("cordis", "sdss", "oncomx")
-    with pytest.warns(DeprecationWarning):
-        builders = tasks.DOMAIN_BUILDERS
-    assert set(builders) == {"cordis", "sdss", "oncomx"}
+    assert not hasattr(tasks, "DOMAINS")
+    assert not hasattr(tasks, "DOMAIN_BUILDERS")
 
 
 def test_augment_domain_rng_and_executor_injection():

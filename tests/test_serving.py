@@ -194,6 +194,90 @@ def test_exact_duplicates_coalesce_into_one_decode():
     assert stats.counters["cache_hits"] == 0  # cache was disabled
 
 
+class RecordingSystem(EchoSystem):
+    """Records every question that reached ``predict_batch``."""
+
+    def __init__(self):
+        super().__init__()
+        self.decoded: list[str] = []
+
+    def predict_batch(self, questions, db_id):
+        self.decoded.extend(questions)
+        return super().predict_batch(questions, db_id)
+
+
+CASE_VARIANTS = [
+    "how many stars?", "How many stars?", "HOW MANY STARS?",
+    "how  many stars?", " How Many Stars? ", "how many STARS?",
+]
+
+
+@pytest.mark.parametrize("cache_capacity", (0, 64))
+def test_concurrent_case_variants_single_flight(cache_capacity):
+    """Cache on: one leader decodes and its followers share the answer.
+    Cache off: no flights, every variant decodes as written."""
+    system = RecordingSystem()
+
+    async def scenario():
+        backend = DomainBackend(name="demo", system=system)
+        config = ServerConfig(
+            max_batch=8, max_wait_ms=5.0, cache_capacity=cache_capacity
+        )
+        async with InferenceServer([backend], config) as server:
+            results = await asyncio.gather(
+                *(server.submit(question, "demo") for question in CASE_VARIANTS)
+            )
+            return results, server.stats()
+
+    results, stats = run(scenario())
+    assert all(r.status == "ok" for r in results)
+    assert [r.question for r in results] == CASE_VARIANTS
+    if cache_capacity:
+        assert system.decoded == [CASE_VARIANTS[0]]
+        leader, *followers = results
+        assert not leader.single_flight
+        assert all(r.single_flight and r.sql == leader.sql for r in followers)
+        assert all(set(r.timings_ms) == {"total"} for r in followers)
+        assert leader.batch_size == 1 and all(r.batch_size == 0 for r in followers)
+        assert stats.counters["single_flight"] == len(CASE_VARIANTS) - 1
+        assert stats.cache["singleflight_coalesced"] == len(CASE_VARIANTS) - 1
+    else:
+        assert sorted(system.decoded) == sorted(CASE_VARIANTS)
+        assert [r.sql for r in results] == [
+            f"SELECT '{question}' FROM demo" for question in CASE_VARIANTS
+        ]
+        assert not any(r.single_flight for r in results)
+        assert stats.counters["single_flight"] == 0
+    assert stats.counters["served"] == len(CASE_VARIANTS)
+    assert stats.cache["inflight"] == 0
+
+
+def test_timed_out_leader_hands_its_timeout_to_followers():
+    clock = FakeClock(blocking=True)
+    duplicates = 4
+
+    async def scenario():
+        backend = DomainBackend(
+            name="demo", system=EchoSystem(delay_s=60.0, clock=clock)
+        )
+        config = ServerConfig(request_timeout_s=0.02)
+        async with InferenceServer([backend], config) as server:
+            results = await asyncio.gather(
+                *(server.submit("slow question", "demo") for _ in range(duplicates))
+            )
+            stats = server.stats()
+            clock.advance(120.0)  # release the parked decode thread
+            return results, stats
+
+    results, stats = run(scenario())
+    assert all(r.status == "timeout" for r in results)
+    assert all(r.error.kind == "timeout" for r in results)
+    assert [r.single_flight for r in results] == [False] + [True] * (duplicates - 1)
+    assert stats.counters["timeouts"] == duplicates
+    assert stats.counters["single_flight"] == duplicates - 1
+    assert clock.sleeps == [60.0]  # one decode for all of them
+
+
 def test_unknown_domain_is_structured_failure():
     async def scenario():
         async with echo_server() as server:
