@@ -105,13 +105,6 @@ def _parser() -> argparse.ArgumentParser:
         "which", nargs="*", default=["1", "2", "4"],
         help="table numbers (1-5); default: the fast ones (1, 2, 4)",
     )
-    tables.add_argument(
-        "--backend", dest="engine", choices=("native", "vector"),
-        default="native",
-        help="SQL engine for the evaluation's execute stage; results are "
-             "byte-identical, vector is an order of magnitude faster "
-             "(default: native)",
-    )
 
     add_command("figures", help="regenerate Figure 1 and Figure 2")
 
@@ -236,10 +229,6 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--execute", action="store_true",
         help="also execute the predicted SQL against the domain databases",
-    )
-    serve.add_argument(
-        "--exec-backend", choices=("native", "vector"), default="native",
-        help="SQL engine behind the --execute stage (default: native)",
     )
     serve.add_argument(
         "--out", default="benchmarks/BENCH_serving.json", metavar="PATH",
@@ -430,9 +419,6 @@ def _config_for(args):
     config = {"quick": quick, "full": full}[args.preset]()
     if args.domain:
         config = dataclasses.replace(config, domains=tuple(args.domain))
-    engine = getattr(args, "engine", None)
-    if engine and engine != "native":
-        config = dataclasses.replace(config, engine=engine)
     return config
 
 
@@ -678,7 +664,6 @@ def _serve_bench(suite, args) -> int:
 
     bundle = load_backends(
         suite, domains=domains, system_name=args.system, regime=args.regime,
-        exec_engine=args.exec_backend,
     )
     start = "warm (all artifacts cached)" if bundle.warm else "cold (training ran)"
     print(f"serving {args.system} [{args.regime}] on "

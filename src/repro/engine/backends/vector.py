@@ -1,45 +1,23 @@
 """The vectorized columnar engine wrapped as an :class:`ExecutionBackend`.
 
-Unlike the native adapter this does not touch the database's own executor:
-it owns a private :class:`~repro.engine.vector.VectorEngine` over the same
-tables, so differential execution can run the row and vector engines
-side by side against one database.
+Like the native adapter it owns a private engine, here a
+:class:`~repro.engine.vector.VectorEngine`, over the database's tables, so
+differential execution runs the row and vector engines side by side against
+one database whatever engine the database itself is set to.
 """
 
 from __future__ import annotations
 
-from repro.engine.backends import ExecutionBackend
+from repro.engine.backends.native import NativeBackend
 from repro.engine.database import Database
-from repro.engine.executor import Result
-from repro.errors import ExecutionError, ReproError
 
 
-class VectorBackend(ExecutionBackend):
+class VectorBackend(NativeBackend):
     """The vector engine over the reproduction's in-memory tables."""
 
     name = "vector"
 
-    def __init__(self) -> None:
-        self._database: Database | None = None
-        self._engine = None
-
-    def load(self, database: Database) -> None:
+    def _engine_for(self, database: Database):
         from repro.engine.vector import VectorEngine
 
-        self._database = database
-        self._engine = VectorEngine(database)
-
-    def execute(self, sql: str) -> Result:
-        if self._engine is None:
-            raise ExecutionError("vector backend has no database loaded")
-        from repro.sql import parse
-
-        return self._engine.execute(parse(sql))
-
-    def try_execute(self, sql: str) -> Result | None:
-        try:
-            return self.execute(sql)
-        except ReproError:
-            return None
-        except RecursionError:
-            return None
+        return VectorEngine(database)

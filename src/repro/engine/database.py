@@ -17,7 +17,13 @@ from repro.engine.table import Table
 
 
 class Database:
-    """An in-memory relational database instance."""
+    """An in-memory relational database instance.
+
+    Queries run on the columnar ``vector`` engine, which falls back per
+    query to a fresh row :class:`Executor` for anything it cannot reproduce
+    byte for byte.  The row engine stays selectable (``set_engine("native")``)
+    as the oracle differential execution and the tests compare against.
+    """
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
@@ -25,32 +31,53 @@ class Database:
         self._tables: dict[str, Table] = {
             t.name.lower(): Table(t) for t in schema.tables
         }
-        self._executor = Executor(self)
-        self._engine_name = "native"
+        self._engine_name = "vector"
+        self._executor = self._make_executor(self._engine_name)
 
     # -- engine selection --------------------------------------------------------
 
     @property
     def engine_name(self) -> str:
-        """The active execution engine: ``native`` (row) or ``vector``."""
+        """The active execution engine: ``vector`` (default) or ``native`` (row)."""
         return self._engine_name
 
     def set_engine(self, name: str) -> None:
         """Swap the execution engine.  Results are byte-identical between
         engines (the vector engine's contract); only performance differs."""
-        if name == self._engine_name:
-            return
+        if name != self._engine_name:
+            self._executor = self._make_executor(name)
+            self._engine_name = name
+
+    def _make_executor(self, name: str):
         if name == "native":
-            self._executor = Executor(self)
-        elif name == "vector":
+            return Executor(self)
+        if name == "vector":
             from repro.engine.vector import VectorEngine
 
-            self._executor = VectorEngine(self)
-        else:
-            raise ExecutionError(
-                f"unknown engine {name!r}; expected 'native' or 'vector'"
-            )
-        self._engine_name = name
+            return VectorEngine(self)
+        raise ExecutionError(
+            f"unknown engine {name!r}; expected 'native' or 'vector'"
+        )
+
+    def reset_engine(self) -> None:
+        """Replace the executor with a fresh one of the same engine: new
+        locks, empty caches.  A forked process calls this on databases it
+        shares with its parent, whose threads may have held a lock at the
+        moment of the fork."""
+        self._executor = self._make_executor(self._engine_name)
+
+    # The executor is derived state (the vector engine holds a lock and
+    # caches over the tables), so pickles and deep copies carry only the
+    # data and the engine name, and the copy rebuilds its own executor.
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_executor"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.reset_engine()
 
     # -- table access -----------------------------------------------------------
 

@@ -40,11 +40,6 @@ class ExperimentConfig:
     table4_sample: int = 100
     dev_limit: int | None = None  # cap dev pairs per domain (None = all)
 
-    # SQL execution engine for evaluation (Table 5 / accuracy scoring):
-    # "native" (row-at-a-time) or "vector" (columnar; byte-identical
-    # results, order-of-magnitude faster execute stage).
-    engine: str = "native"
-
 
 def quick() -> ExperimentConfig:
     """Fast preset for tests and default benchmark runs."""

@@ -242,43 +242,29 @@ def eval_cell_task(params: dict, inputs: dict) -> Table5Cell:
     system = inputs["system"]
     domain_name = params["domain"]
     dev_limit = params["dev_limit"]
-    # ``params["engine"]`` is present only when the run asked for a
-    # non-native engine (PR-4 chaos-spec pattern: params feed the content
-    # hash, so native runs keep their existing cache keys).
-    engine = params.get("engine", "native")
     accuracy = ExecutionAccuracy()
     tracer = get_tracer()
     if domain_name is None:
         corpus: SpiderCorpus = inputs["corpus"]
         pairs = corpus.dev.pairs[:dev_limit] if dev_limit else list(corpus.dev.pairs)
-        databases = list(corpus.databases.values())
     else:
         domain: BenchmarkDomain = inputs["domain"]
         pairs = domain.dev.pairs[:dev_limit] if dev_limit else list(domain.dev.pairs)
-        databases = [domain.database]
     with tracer.span("eval.predict", n_pairs=len(pairs)):
         predictions = list(system.predict_all(pairs))
-    previous = [db.engine_name for db in databases]
-    try:
-        for db in databases:
-            db.set_engine(engine)
-        with tracer.span("eval.score", n_pairs=len(pairs), engine=engine):
-            if domain_name is None:
-                for pair, predicted in zip(pairs, predictions):
-                    accuracy.add(
-                        corpus.databases[pair.db_id], pair.sql, predicted,
-                        enhanced=None,
-                    )
-            else:
-                for pair, predicted in zip(pairs, predictions):
-                    accuracy.add(
-                        domain.database, pair.sql, predicted,
-                        enhanced=domain.enhanced,
-                    )
-    finally:
-        # Restore: the domain artifact is shared (and cached) across tasks.
-        for db, name in zip(databases, previous):
-            db.set_engine(name)
+    with tracer.span("eval.score", n_pairs=len(pairs)):
+        if domain_name is None:
+            for pair, predicted in zip(pairs, predictions):
+                accuracy.add(
+                    corpus.databases[pair.db_id], pair.sql, predicted,
+                    enhanced=None,
+                )
+        else:
+            for pair, predicted in zip(pairs, predictions):
+                accuracy.add(
+                    domain.database, pair.sql, predicted,
+                    enhanced=domain.enhanced,
+                )
     return Table5Cell(
         system=params["system"],
         domain=domain_name or "spider",
@@ -314,12 +300,6 @@ def build_suite_graph(
         chaos["fault"] = llm_fault_spec
     if retry_spec is not None:
         chaos["retry"] = retry_spec
-    # Like the chaos specs: the engine choice enters eval params (and thus
-    # the content hash) only when it differs from the default.
-    eval_extra: dict = {}
-    if config.engine != "native":
-        eval_extra["engine"] = config.engine
-
     graph.add(
         Task(
             CORPUS_TASK,
@@ -401,7 +381,6 @@ def build_suite_graph(
                             "domain": name,
                             "regime": regime,
                             "dev_limit": config.dev_limit,
-                            **eval_extra,
                         },
                         deps=(("system", tname), ("domain", domain_task(name))),
                     )
@@ -428,7 +407,6 @@ def build_suite_graph(
                         "domain": None,
                         "regime": regime,
                         "dev_limit": config.dev_limit,
-                        **eval_extra,
                     },
                     deps=(("system", tname), ("corpus", CORPUS_TASK)),
                 )

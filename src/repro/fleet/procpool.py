@@ -38,6 +38,12 @@ def fork_available() -> bool:
 def _worker_init(backends: dict[str, DomainBackend]) -> None:
     global _WORKER_BACKENDS
     _WORKER_BACKENDS = backends
+    # The served databases are shared with the parent, not cloned, and the
+    # fork copied their engine locks in whatever state a parent thread (the
+    # execute stage, say) held them: start on fresh engines.
+    for backend in backends.values():
+        if backend.database is not None:
+            backend.database.reset_engine()
 
 
 def _worker_decode(domain: str, questions: list[str]) -> list[str]:

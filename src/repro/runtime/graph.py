@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 #: 2: trained-system artifacts carry the schema-linking memo (serving).
 #: 3: the memo is a ``BoundedLRU`` and learned lexicons fill their counters
 #:    in sorted order, so most_common ties no longer follow the hash seed.
-GRAPH_FORMAT = 3
+#: 4: a pickled ``Database`` carries its data and engine name, not its
+#:    executor, and starts on the vector engine.
+GRAPH_FORMAT = 4
 
 
 def derive_seed(base_seed: int, task_name: str) -> int:

@@ -52,14 +52,12 @@ def load_backends(
     system_name: str = "valuenet",
     regime: str = "both",
     with_fallback: bool = True,
-    exec_engine: str = "native",
 ) -> ServingBundle:
     """Load one trained backend per domain out of the suite's runtime.
 
     ``domains`` defaults to the suite's own domain set (``config.domains``,
-    resolved through the adapter registry).  ``exec_engine`` selects the
-    SQL engine behind the server's optional execute stage (``native`` or
-    ``vector`` — byte-identical results, different speed)."""
+    resolved through the adapter registry).  The server's optional execute
+    stage runs on each domain database's own engine, the vector engine."""
     from repro.adapters import specs_for
 
     if domains is None:
@@ -72,7 +70,6 @@ def load_backends(
     backends: dict[str, DomainBackend] = {}
     for name in domains:
         domain = suite.artifact(domain_task(name))
-        domain.database.set_engine(exec_engine)
         system = suite.artifact(train_task(system_name, name, regime))
         fallback = None
         if with_fallback:

@@ -18,6 +18,7 @@ from repro.engine.diffexec import (
     ALL_SPLITS,
     GOLD_SPLITS,
     run_diff_exec,
+    run_three_way,
     write_reports,
 )
 from repro.engine.executor import Result
@@ -154,6 +155,31 @@ def test_backend_errors_surface_as_divergences(climate_domain):
     assert not report.agreed
     assert {d.kind for d in report.divergences} == {"backend-error"}
     assert all("synthetic failure" in d.detail for d in report.divergences)
+
+
+def test_three_way_native_arm_is_the_row_engine(climate_domain, monkeypatch):
+    """A sabotaged vector engine surfaces as vector divergences only.
+
+    The database itself runs on the vector engine, so a native arm that went
+    through ``Database.execute`` would drop the same rows as the vector arm
+    (no vector divergence) and disagree with sqlite."""
+    from repro.engine.vector import VectorEngine
+
+    assert climate_domain.database.engine_name == "vector"
+    original = VectorEngine.execute
+
+    def dropping(self, query):
+        result = original(self, query)
+        if result.rows:
+            return Result(columns=result.columns, rows=result.rows[:-1])
+        return result
+
+    monkeypatch.setattr(VectorEngine, "execute", dropping)
+    vector, sqlite = run_three_way(climate_domain)
+    assert vector.backend == "vector"
+    assert not vector.agreed
+    assert {d.kind for d in vector.divergences} == {"result-mismatch"}
+    assert sqlite.agreed, sqlite.render()
 
 
 # -- report serialization -------------------------------------------------------

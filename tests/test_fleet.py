@@ -16,6 +16,7 @@ The load-bearing guarantees:
 from __future__ import annotations
 
 import asyncio
+import copy
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from repro.fleet import (
     TenantQuotas,
     TokenBucket,
     build_fleet,
+    fork_available,
     make_replica,
     stable_hash,
 )
@@ -460,6 +462,75 @@ def test_drain_with_no_traffic_stops_cleanly():
         assert DRAINING == "draining"  # the intermediate state is public API
 
     run(scenario())
+
+
+# -- replica clones ---------------------------------------------------------------
+
+
+SKY_QUESTIONS = {
+    "How many photometric objects are there?": "SELECT COUNT(*) FROM photoobj",
+    "List the class of every spectroscopic object.": "SELECT class FROM specobj",
+}
+
+
+def _sky_valuenet(databases: dict, enhanced):
+    """A ValueNet trained on :data:`SKY_QUESTIONS` over vector databases."""
+    from repro.datasets.records import NLSQLPair
+    from repro.nl2sql import ValueNet
+
+    system = ValueNet()
+    for db_id, database in databases.items():
+        database.set_engine("vector")
+        system.register_database(db_id, database, enhanced)
+    system.train([
+        NLSQLPair(question=q, sql=sql, db_id=db_id)
+        for q, sql in SKY_QUESTIONS.items() for db_id in databases
+    ])
+    return system
+
+
+def test_clone_backends_copies_systems_over_vector_databases(mini_db, mini_enhanced):
+    from repro.fleet import clone_backends
+
+    served, other = copy.deepcopy(mini_db), copy.deepcopy(mini_db)
+    system = _sky_valuenet({"sky": served, "sky_copy": other}, mini_enhanced)
+    original = DomainBackend(name="sky", system=system, database=served)
+    clone = clone_backends({"sky": original})["sky"]
+    assert clone.system is not system
+    assert clone.database is served
+    assert clone.system.context("sky").database is served
+    copied = clone.system.context("sky_copy").database
+    assert copied is not other and copied.engine_name == "vector"
+    assert copied.execute("SELECT COUNT(*) FROM photoobj").rows == [(5,)]
+    for question in SKY_QUESTIONS:
+        for db_id in ("sky", "sky_copy"):
+            assert clone.system.predict(question, db_id) == system.predict(
+                question, db_id
+            )
+
+
+@pytest.mark.skipif(not fork_available(), reason="process replicas need fork")
+def test_process_worker_starts_on_fresh_engines(mini_db, mini_enhanced):
+    """The served database is shared with the forked decode worker, and a
+    parent thread may hold its engine lock at the moment of the fork: the
+    worker must not inherit the lock held and hang on its first query."""
+    from repro.fleet import clone_backends, process_backends
+    from repro.fleet.procpool import _worker_decode
+
+    served = copy.deepcopy(mini_db)
+    system = _sky_valuenet({"sky": served}, mini_enhanced)
+    question = next(iter(SKY_QUESTIONS))
+    expected = system.predict(question, "sky")
+    backends = {"sky": DomainBackend(name="sky", system=system, database=served)}
+    _, pool = process_backends(clone_backends(backends))
+    try:
+        with served._executor._lock:  # the vector engine's plan-cache lock
+            future = pool.submit(_worker_decode, "sky", [question])  # forks
+        assert future.result(timeout=30) == [expected]
+    finally:
+        for process in list(pool._processes.values()):
+            process.terminate()
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
 # -- fleet specs ------------------------------------------------------------------

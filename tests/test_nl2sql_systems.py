@@ -67,6 +67,36 @@ def trained(corpus):
     return systems
 
 
+def _decode_and_score(system, corpus):
+    predictions = system.predict_all(corpus.dev.pairs)
+    accuracy = ExecutionAccuracy()
+    for pair, predicted in zip(corpus.dev.pairs, predictions):
+        accuracy.add(corpus.databases[pair.db_id], pair.sql, predicted)
+    return predictions, (accuracy.accuracy, accuracy.total, accuracy.triage)
+
+
+@pytest.mark.parametrize("name", [cls.name for cls in SYSTEMS])
+def test_decode_and_score_identical_on_row_engine(trained, corpus, name):
+    """Decode ranks candidates by "executes" and "non-empty", so the
+    database engine must not change a prediction or a score: the default
+    (vector) engine and the row engine give identical SQL and accuracy."""
+    system = trained[name]
+    databases = list(corpus.databases.values())
+    engines = [database.engine_name for database in databases]
+    assert set(engines) == {"vector"}
+    default = _decode_and_score(system, corpus)
+    try:
+        for database in databases:
+            database.set_engine("native")
+        row = _decode_and_score(system, corpus)
+    finally:
+        # The corpus fixture is shared across this module's tests.
+        for database, engine in zip(databases, engines):
+            database.set_engine(engine)
+    assert row[0] == default[0]
+    assert row[1] == default[1]
+
+
 @pytest.mark.parametrize("name", [cls.name for cls in SYSTEMS])
 def test_spider_dev_accuracy_above_floor(trained, corpus, name):
     """Every system must solve a substantial share of in-distribution dev."""

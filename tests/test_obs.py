@@ -13,6 +13,7 @@ integration guarantees the subsystem makes to the rest of the stack:
 from __future__ import annotations
 
 import asyncio
+import copy
 import hashlib
 import json
 import random
@@ -491,9 +492,12 @@ def test_disabled_tracer_overhead_is_negligible():
 
 
 def test_engine_query_spans_carry_row_attrs(mini_db):
+    # A row-engine copy: the session-scoped fixture stays on its own engine.
+    database = copy.deepcopy(mini_db)
+    database.set_engine("native")
     tracer = Tracer()
     with obs.use_tracer(tracer):
-        mini_db.execute(
+        database.execute(
             "SELECT s.class, count(*) FROM specobj AS s JOIN photoobj AS p "
             "ON s.bestobjid = p.objid GROUP BY s.class"
         )

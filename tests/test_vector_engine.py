@@ -10,6 +10,9 @@ fallback machinery.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -181,16 +184,60 @@ def test_engine_swap_on_database(mini_schema):
     database = create_database(
         mini_schema, {"photoobj": [(1, 19.0, 16.5, 3)]}
     )
-    assert database.engine_name == "native"
-    database.set_engine("vector")
     assert database.engine_name == "vector"
     assert database.execute("SELECT objid FROM photoobj").rows == [(1,)]
     database.set_engine("native")
     assert database.engine_name == "native"
+    assert database.execute("SELECT objid FROM photoobj").rows == [(1,)]
+    database.set_engine("vector")
+    assert database.engine_name == "vector"
     from repro.errors import ExecutionError
 
     with pytest.raises(ExecutionError):
         database.set_engine("turbo")
+
+
+# ---------------------------------------------------------------------------
+# Pickling and copying: the data and the engine name, never the executor
+# ---------------------------------------------------------------------------
+
+_PROBE = (
+    "SELECT s.class, COUNT(*) FROM specobj AS s JOIN photoobj AS p "
+    "ON s.bestobjid = p.objid GROUP BY s.class ORDER BY s.class"
+)
+
+
+@pytest.mark.parametrize("engine_name", ["vector", "native"])
+def test_database_pickles_and_copies_with_its_engine(mini_db, engine_name):
+    database = copy.deepcopy(mini_db)
+    database.set_engine(engine_name)
+    expected = database.execute(_PROBE)
+    for clone in (pickle.loads(pickle.dumps(database)), copy.deepcopy(database)):
+        assert clone.engine_name == engine_name
+        result = clone.execute(_PROBE)
+        assert list(result.columns) == list(expected.columns)
+        assert result.rows == expected.rows
+        # The rebuilt executor reads the copy's own tables.
+        clone.insert("photoobj", [(6, 20.5, 18.1, 3)])
+        assert clone.execute("SELECT COUNT(*) FROM photoobj").rows == [(6,)]
+    assert database.execute("SELECT COUNT(*) FROM photoobj").rows == [(5,)]
+
+
+def test_artifact_cache_stores_a_vector_domain(sdss_domain, tmp_path):
+    from repro.runtime import ArtifactCache
+
+    domain = copy.deepcopy(sdss_domain)
+    domain.database.set_engine("vector")
+    cache = ArtifactCache(tmp_path)
+    cache.store("ab12", "domain:sdss", domain)
+    hit, loaded = cache.load("ab12")
+    assert hit
+    assert loaded.database.engine_name == "vector"
+    for pair in domain.dev.pairs[:20]:
+        assert (
+            loaded.database.execute(pair.sql).rows
+            == domain.database.execute(pair.sql).rows
+        ), pair.sql
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +277,7 @@ def test_forward_on_reference_reports_fallback(mini_db):
 
 
 def _query_span_attrs(database, engine_name: str, sql: str) -> dict:
+    previous_engine = database.engine_name
     database.set_engine(engine_name)
     tracer = Tracer()
     previous = obs.set_tracer(tracer)
@@ -237,7 +285,7 @@ def _query_span_attrs(database, engine_name: str, sql: str) -> dict:
         database.execute(sql)
     finally:
         obs.set_tracer(previous)
-        database.set_engine("native")
+        database.set_engine(previous_engine)
     names = {"native": "engine.query", "vector": "engine.vector.query"}
     spans = [s for s in tracer.finished() if s.name == names[engine_name]]
     assert spans, f"no {names[engine_name]} span recorded"
