@@ -20,6 +20,7 @@ from repro.errors import ReproError
 from repro.nl2sql.base import DomainContext, NLToSQLSystem
 from repro.nl2sql.instantiate import GuidedInstantiator
 from repro.semql.to_sql import semql_to_sql
+from repro.sql import ast, parse
 
 
 class ValueNet(NLToSQLSystem):
@@ -55,20 +56,28 @@ class ValueNet(NLToSQLSystem):
                 sql = semql_to_sql(tree, context.database.schema)
             except ReproError:
                 continue
-            result = context.database.try_execute(sql)
+            # Parsed once: the same AST is executed and scored.
+            try:
+                query = parse(sql)
+            except (ReproError, RecursionError):
+                query = None
+            result = None if query is None else context.database.try_execute(query)
             if result is None and self.require_executable:
                 continue
-            score = self._score(rank, links, sql, bool(result and result.rows))
+            score = self._score(rank, links, sql, bool(result and result.rows), query)
             if score > best_score:
                 best_score = score
                 best_sql = sql
         return best_sql
 
-    def _score(self, rank: int, links, sql: str, nonempty: bool) -> float:
+    def _score(
+        self, rank: int, links, sql: str, nonempty: bool, query: ast.Query | None = None
+    ) -> float:
         """Prefer higher-ranked templates whose fill used linked evidence
-        and did not hallucinate literals the question never mentioned."""
-        from repro.sql import ast, parse
+        and did not hallucinate literals the question never mentioned.
 
+        ``query`` is ``sql`` already parsed; without it ``sql`` is parsed
+        here."""
         score = -1.2 * float(rank)
         lowered = sql.lower()
         evidence_bonus = 0.0
@@ -83,7 +92,7 @@ class ValueNet(NLToSQLSystem):
                 evidence_bonus += 0.3
         score += min(evidence_bonus, 1.0)
         try:
-            for literal in ast.literals(parse(sql)):
+            for literal in ast.literals(query if query is not None else parse(sql)):
                 if literal.value is None:
                     continue
                 text = (

@@ -6,7 +6,7 @@ persists completed artifacts by content hash.  The concrete benchmark graph
 lives in :mod:`repro.experiments.tasks`.
 """
 
-from repro.runtime.cache import CORRUPTION_ERRORS, ArtifactCache
+from repro.runtime.cache import CORRUPTION_ERRORS, ArtifactCache, Pickled
 from repro.runtime.graph import GRAPH_FORMAT, Task, TaskGraph, derive_seed
 from repro.runtime.scheduler import (
     RunReport,
@@ -20,6 +20,7 @@ __all__ = [
     "ArtifactCache",
     "CORRUPTION_ERRORS",
     "GRAPH_FORMAT",
+    "Pickled",
     "Task",
     "TaskGraph",
     "derive_seed",

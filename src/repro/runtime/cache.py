@@ -4,11 +4,15 @@ Completed task artifacts are pickled under ``<root>/<key[:2]>/<key>.pkl``
 where ``key`` is the task's content hash, so a cache entry is valid for
 exactly one (body, params, upstream-artifacts) combination and never goes
 stale on a config change — a changed config simply hashes to a different
-key.  Writes are atomic (temp file + ``os.replace``) so a crashed or
-concurrent run cannot leave a half-written entry behind, and unreadable
-entries are treated as misses and deleted rather than propagated — the
-swallowed error class is recorded in ``corruption_kinds`` so operators can
-tell a torn write from a format drift.
+key.  An entry is two pickles back to back: a small ``{key, task}`` header,
+then the artifact's own pickle, so an artifact that arrives already pickled
+(a :class:`Pickled` from a pool worker) is written as it is, and a load
+checks the key before it unpickles the artifact.  Writes are atomic (temp
+file + ``os.replace``) so a crashed or concurrent run cannot leave a
+half-written entry behind, and unreadable entries — a torn header, a torn
+artifact or a mismatched key — are treated as misses and deleted rather
+than propagated; the swallowed error class is recorded in
+``corruption_kinds`` so operators can tell a torn write from a format drift.
 
 Chaos hook: installing a :class:`~repro.resilience.faults.FaultPlan` as
 ``fault_plan`` makes ``store`` simulate a crash mid-write for scheduled
@@ -19,6 +23,7 @@ exactly the recovery path ``chaos-bench`` asserts.
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 from pathlib import Path
@@ -38,6 +43,27 @@ CORRUPTION_ERRORS = (
     OSError,
     MemoryError,
 )
+
+
+class Pickled:
+    """An artifact kept as its pickle until something needs the object.
+
+    Pool workers return their artifacts in this form: the runtime's parent
+    writes the bytes to the cache and forwards them to downstream workers
+    without unpickling them.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    @classmethod
+    def of(cls, artifact: Any) -> "Pickled":
+        return cls(pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def load(self) -> Any:
+        return pickle.loads(self.data)
 
 
 class ArtifactCache:
@@ -84,10 +110,11 @@ class ArtifactCache:
             self.misses += 1
             return False, None
         try:
-            payload = pickle.loads(path.read_bytes())
-            if payload["key"] != key:
+            data = path.read_bytes()
+            stream = io.BytesIO(data)
+            if pickle.load(stream)["key"] != key:
                 raise ValueError("cache entry key mismatch")
-            artifact = payload["artifact"]
+            artifact = pickle.loads(memoryview(data)[stream.tell():])
         except CORRUPTION_ERRORS as exc:
             self.corrupt += 1
             self.misses += 1
@@ -101,21 +128,27 @@ class ArtifactCache:
         self.hits += 1
         return True, artifact
 
-    def store(self, key: str, task_name: str, artifact: Any) -> None:
+    def store(self, key: str, task_name: str, artifact: Any) -> int:
+        """Write ``artifact`` (an object, or a :class:`Pickled` written as
+        it is) under ``key``; returns the number of bytes written."""
         if self.root is None:
-            return
+            return 0
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"key": key, "task": task_name, "artifact": artifact}
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        header = pickle.dumps({"key": key, "task": task_name}, protocol=pickle.HIGHEST_PROTOCOL)
+        if not isinstance(artifact, Pickled):
+            artifact = Pickled.of(artifact)
+        size = len(header) + len(artifact.data)
         if self.fault_plan is not None:
             if self.fault_plan.draw("cache", task_name, 0) == "cache-tear":
                 # Simulated crash mid-write: a torn entry lands at the final
                 # path with no atomic rename — the worst case a real crash
                 # between write and replace could produce.
                 self.tears += 1
-                path.write_bytes(blob[: max(1, len(blob) // 2)])
-                return
+                return path.write_bytes((header + artifact.data)[: max(1, size // 2)])
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_bytes(blob)
+        with tmp.open("wb") as handle:
+            handle.write(header)
+            handle.write(artifact.data)
         os.replace(tmp, path)
+        return size

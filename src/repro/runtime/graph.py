@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 #:    in sorted order, so most_common ties no longer follow the hash seed.
 #: 4: a pickled ``Database`` carries its data and engine name, not its
 #:    executor, and starts on the vector engine.
-GRAPH_FORMAT = 4
+#: 5: a cache entry is a ``{key, task}`` header pickle followed by the
+#:    artifact's own pickle.
+GRAPH_FORMAT = 5
 
 
 def derive_seed(base_seed: int, task_name: str) -> int:

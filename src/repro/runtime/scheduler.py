@@ -16,6 +16,14 @@ bit-identical.  Per-task wall time, cache hit/miss counters, retries and
 injected faults are appended to ``Runtime.report`` (rendered by the CLI's
 ``--timings``).
 
+Each artifact is pickled once, where it is made.  A pool worker returns its
+artifact as a :class:`~repro.runtime.cache.Pickled`; the parent writes those
+bytes to the cache as they are, memoizes them and forwards them unchanged to
+downstream pool tasks, which unpickle them in the worker.  The parent
+unpickles an artifact only when ``run`` returns it (a target is opened as
+soon as it finishes, while the pool works on) or an inline task consumes
+it, and then once, memoizing the object.
+
 Resilience:
 
 * transient task failures (:data:`~repro.resilience.faults.TRANSIENT_ERRORS`
@@ -47,7 +55,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.resilience.clock import SYSTEM_CLOCK
 from repro.resilience.faults import TRANSIENT_ERRORS, FaultPlan, raise_fault
 from repro.resilience.retry import RetryPolicy
-from repro.runtime.cache import ArtifactCache
+from repro.runtime.cache import ArtifactCache, Pickled
 from repro.runtime.graph import TaskGraph
 
 
@@ -109,6 +117,24 @@ def execute_task(
     finally:
         obs.set_tracer(previous)
     return artifact, seconds, tracer.finished()
+
+
+def execute_pooled(
+    fn_path: str,
+    params: dict,
+    inputs: dict,
+    inject: str | None = None,
+    trace: dict | None = None,
+) -> tuple[Pickled, float, list]:
+    """:func:`execute_task` in a pool worker: inputs forwarded as
+    :class:`Pickled` are unpickled here, and the artifact goes back pickled
+    so the parent can store and forward it without unpickling it."""
+    inputs = {
+        role: value.load() if isinstance(value, Pickled) else value
+        for role, value in inputs.items()
+    }
+    artifact, seconds, spans = execute_task(fn_path, params, inputs, inject, "exit", trace)
+    return Pickled.of(artifact), seconds, spans
 
 
 @dataclass
@@ -208,6 +234,8 @@ class Runtime:
         self.cache.fault_plan = fault_plan
         self.clock = clock
         self.metrics = metrics or MetricsRegistry()
+        #: Content hash -> artifact, or its :class:`Pickled` until the
+        #: parent needs the object.
         self._memo: dict[str, Any] = {}
         self.report = RunReport()
 
@@ -232,7 +260,7 @@ class Runtime:
     def run(self, graph: TaskGraph, targets: list[str] | tuple[str, ...]) -> dict[str, Any]:
         """Materialize ``targets``; returns ``{task name: artifact}``."""
         targets = list(dict.fromkeys(targets))
-        resolved: dict[str, Any] = {}
+        resolved: set[str] = set()
         pending: list[str] = []  # topological: deps are planned first
         planned: set[str] = set()
         tracer = get_tracer()
@@ -243,7 +271,7 @@ class Runtime:
             planned.add(name)
             key = graph.content_hash(name)
             if key in self._memo:
-                resolved[name] = self._memo[key]
+                resolved.add(name)
                 self.report.records.append(TaskRecord(name, "memo", 0.0, key))
                 self.metrics.inc("runtime.memo")
                 if tracer.enabled:
@@ -253,13 +281,18 @@ class Runtime:
             hit, artifact = self.cache.load(key)
             if hit:
                 self._memo[key] = artifact
-                resolved[name] = artifact
+                resolved.add(name)
                 seconds = self.clock.now() - start
                 self.report.records.append(TaskRecord(name, "hit", seconds, key))
                 self.metrics.inc("runtime.cache_hits")
                 if tracer.enabled:
                     span = tracer.start_span(f"task:{name}", status="hit")
-                    span.start_s = start  # cover the cache-load window
+                    load = tracer.start_span(
+                        "cache.load", parent=span, task=name,
+                        bytes=self.cache.path_for(key).stat().st_size,
+                    )
+                    span.start_s = load.start_s = start  # cover the load window
+                    tracer.end_span(load)
                     tracer.end_span(span)
                 return
             tracer.event("cache-miss", task=name)
@@ -275,10 +308,19 @@ class Runtime:
                 if self.workers == 1 or len(pending) == 1:
                     self._run_sequential(graph, pending, resolved)
                 else:
-                    self._run_parallel(graph, pending, resolved)
-        return {name: resolved[name] for name in targets}
+                    self._run_parallel(graph, pending, resolved, set(targets))
+            return {name: self._artifact(graph, name) for name in targets}
 
     # -- execution ------------------------------------------------------------
+
+    def _artifact(self, graph: TaskGraph, name: str) -> Any:
+        """A memoized artifact as an object, unpickled at most once."""
+        key = graph.content_hash(name)
+        artifact = self._memo[key]
+        if isinstance(artifact, Pickled):
+            with get_tracer().span("unpickle", task=name, bytes=len(artifact.data)):
+                artifact = self._memo[key] = artifact.load()
+        return artifact
 
     def _finish(
         self,
@@ -286,14 +328,18 @@ class Runtime:
         name: str,
         artifact: Any,
         seconds: float,
-        resolved: dict,
+        resolved: set[str],
         retries: int = 0,
         faults: int = 0,
     ) -> None:
         key = graph.content_hash(name)
-        self.cache.store(key, name, artifact)
+        if self.cache.enabled:
+            start = self.clock.now()
+            with get_tracer().span("cache.store", task=name) as span:
+                span.set_attr("bytes", self.cache.store(key, name, artifact))
+            self.metrics.observe("runtime.cache_store_s", self.clock.now() - start)
         self._memo[key] = artifact
-        resolved[name] = artifact
+        resolved.add(name)
         self.report.records.append(
             TaskRecord(name, "computed", seconds, key, retries=retries, faults=faults)
         )
@@ -304,8 +350,13 @@ class Runtime:
         if faults:
             self.metrics.inc("runtime.faults_injected", faults)
 
-    def _inputs(self, graph: TaskGraph, name: str, resolved: dict) -> dict:
-        return {role: resolved[dep] for role, dep in graph.task(name).deps}
+    def _inputs(self, graph: TaskGraph, name: str) -> dict:
+        """Inline inputs: every dependency as an object."""
+        return {role: self._artifact(graph, dep) for role, dep in graph.task(name).deps}
+
+    def _forwarded(self, graph: TaskGraph, name: str) -> dict:
+        """Pool inputs: every dependency as memoized, pickles left closed."""
+        return {role: self._memo[graph.content_hash(dep)] for role, dep in graph.task(name).deps}
 
     def _draw_fault(self, name: str, attempt: int) -> str | None:
         if self.fault_plan is None:
@@ -327,7 +378,7 @@ class Runtime:
         self.report.recovered[kind] = self.report.recovered.get(kind, 0) + 1
         self.metrics.inc(f"runtime.recovered.{kind}")
 
-    def _run_sequential(self, graph: TaskGraph, pending: list[str], resolved: dict) -> None:
+    def _run_sequential(self, graph: TaskGraph, pending: list[str], resolved: set[str]) -> None:
         tracer = get_tracer()
         for name in pending:
             task = graph.task(name)
@@ -343,7 +394,7 @@ class Runtime:
                         artifact, seconds, _spans = execute_task(
                             task.fn,
                             task.params,
-                            self._inputs(graph, name, resolved),
+                            self._inputs(graph, name),
                             inject=inject,
                             inject_mode="raise",
                         )
@@ -369,7 +420,9 @@ class Runtime:
                     )
                     break
 
-    def _run_parallel(self, graph: TaskGraph, pending: list[str], resolved: dict) -> None:
+    def _run_parallel(
+        self, graph: TaskGraph, pending: list[str], resolved: set[str], targets: set[str]
+    ) -> None:
         remaining = list(pending)
         attempts = dict.fromkeys(pending, 0)
         faults = dict.fromkeys(pending, 0)
@@ -405,12 +458,11 @@ class Runtime:
                         }
                     in_flight[name] = (
                         pool.submit(
-                            execute_task,
+                            execute_pooled,
                             task.fn,
                             task.params,
-                            self._inputs(graph, name, resolved),
+                            self._forwarded(graph, name),
                             inject,
-                            "exit",
                             trace,
                         ),
                         self.clock.now(),
@@ -456,6 +508,7 @@ class Runtime:
                     timeout=wait_timeout,
                 )
                 broken: BaseException | None = None
+                finished: list[str] = []
                 for name in [n for n, (f, _) in in_flight.items() if f in done]:
                     future, _ = in_flight.pop(name)
                     try:
@@ -488,6 +541,7 @@ class Runtime:
                         graph, name, artifact, seconds, resolved,
                         retries=attempts[name], faults=faults[name],
                     )
+                    finished.append(name)
                 if broken is not None:
                     recycle_pool(broken)
                 elif self.task_timeout_s is not None:
@@ -507,5 +561,10 @@ class Runtime:
                             )
                         )
                 launch()
+                # Open finished targets now, while the pool runs what
+                # launch() submitted, not all at once after the last task.
+                for name in finished:
+                    if name in targets:
+                        self._artifact(graph, name)
         finally:
             pool.shutdown(wait=False, cancel_futures=True)

@@ -117,6 +117,33 @@ def test_valuenet_outputs_always_executable(trained, corpus):
             assert corpus.databases[pair.db_id].try_execute(predicted) is not None
 
 
+def test_valuenet_parses_each_candidate_once(trained, corpus, monkeypatch):
+    """Decode parses a candidate's SQL once and hands the AST to both the
+    execution check and the score."""
+    from repro.nl2sql import valuenet
+    from repro.sql import parser
+
+    counts = {"parses": 0, "candidates": 0}
+    tokenize, semql_to_sql = parser.tokenize, valuenet.semql_to_sql
+
+    def counting_tokenize(text):  # every parse starts here
+        counts["parses"] += 1
+        return tokenize(text)
+
+    def counting_semql_to_sql(*args):  # every candidate's SQL comes from here
+        sql = semql_to_sql(*args)
+        counts["candidates"] += 1
+        return sql
+
+    monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+    monkeypatch.setattr(valuenet, "semql_to_sql", counting_semql_to_sql)
+    system = trained["valuenet"]
+    for pair in corpus.dev.pairs[:40]:
+        system.predict(pair.question, pair.db_id)
+    assert counts["candidates"] > 40
+    assert counts["parses"] == counts["candidates"]
+
+
 def test_predictions_deterministic(trained, corpus):
     system = trained["valuenet"]
     pair = corpus.dev.pairs[0]

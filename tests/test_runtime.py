@@ -3,13 +3,14 @@ determinism/caching guarantees of the suite built on top of it."""
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import Suite
-from repro.runtime import ArtifactCache, Runtime, Task, TaskGraph, derive_seed
+from repro.runtime import ArtifactCache, Pickled, Runtime, Task, TaskGraph, derive_seed
 
 # -- toy task bodies (module-level so worker processes can import them) --------
 
@@ -24,6 +25,35 @@ def join(params, inputs):
 
 def boom(params, inputs):
     raise RuntimeError("task failed")
+
+
+#: ``(pid, value)`` of every :class:`Token` unpickled, in order.
+UNPICKLED_IN: list[tuple] = []
+
+
+class Token:
+    """A toy artifact that records which process unpickles it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __getstate__(self):
+        return {"value": self.value}
+
+    def __setstate__(self, state):
+        self.value = state["value"]
+        UNPICKLED_IN.append((os.getpid(), self.value))
+
+    def __eq__(self, other):
+        return isinstance(other, Token) and other.value == self.value
+
+
+def make_token(params, inputs):
+    return Token(params["value"])
+
+
+def wrap_token(params, inputs):
+    return Token([inputs["inner"].value])
 
 
 def _toy_graph(a="a", b="b", sep="+"):
@@ -101,6 +131,35 @@ def test_cache_round_trip_and_corruption_recovery(tmp_path):
     cache.path_for("bb22").write_bytes(cache.path_for("aa11").read_bytes())
     hit, _ = cache.load("bb22")
     assert not hit
+    assert cache.corrupt == 2
+    assert not cache.path_for("bb22").exists()
+
+    # An entry is a {key, task} header pickle, then the artifact's pickle;
+    # already-pickled bytes are written as they are.
+    artifact = {"x": list(range(1000))}
+    blob = Pickled.of(artifact)
+    size = cache.store("cc33", "toy", blob)
+    path = cache.path_for("cc33")
+    assert size == path.stat().st_size
+    with path.open("rb") as handle:
+        assert pickle.load(handle) == {"key": "cc33", "task": "toy"}
+        header_size = handle.tell()
+        assert handle.read() == blob.data
+    assert cache.store("dd44", "toy", artifact) == size
+    assert cache.load("dd44") == (True, artifact)
+    # A truncation inside the artifact part is corruption.
+    data = path.read_bytes()
+    path.write_bytes(data[: header_size + len(blob.data) // 2])
+    assert cache.load("cc33") == (False, None)
+    assert cache.corrupt == 3
+    assert not path.exists()
+    # So is a whole header over another key; its artifact is never unpickled.
+    path.write_bytes(pickle.dumps({"key": "ee55", "task": "toy"}) + pickle.dumps(Token(1)))
+    UNPICKLED_IN.clear()
+    assert cache.load("cc33") == (False, None)
+    assert cache.corrupt == 4
+    assert not path.exists()
+    assert UNPICKLED_IN == []
 
 
 def test_disabled_cache_never_stores(tmp_path):
@@ -160,6 +219,61 @@ def test_worker_exceptions_propagate():
         Runtime(workers=1).run(graph, ["x"])
     with pytest.raises(RuntimeError):
         Runtime(workers=2).run(graph, ["x", "y"])
+
+
+def _token_graph():
+    """Two tasks: ``inner`` feeds ``outer``."""
+    graph = TaskGraph()
+    graph.add(Task("inner", "tests.test_runtime:make_token", {"value": 7}))
+    graph.add(Task("outer", "tests.test_runtime:wrap_token", {}, deps=(("inner", "inner"),)))
+    return graph
+
+
+def test_pool_artifacts_stay_pickled_in_the_parent(tmp_path):
+    runtime = Runtime(workers=2, cache_dir=str(tmp_path))
+    UNPICKLED_IN.clear()
+    assert runtime.run(_token_graph(), ["outer"]) == {"outer": Token([7])}
+    # "inner" was made in one worker and consumed by another pool task:
+    # only that worker opened it, never the parent.
+    parent = os.getpid()
+    assert (parent, 7) not in UNPICKLED_IN
+    assert UNPICKLED_IN.count((parent, [7])) == 1
+    # The cache holds the workers' bytes, readable by a fresh runtime.
+    warm = Runtime(workers=1, cache_dir=str(tmp_path))
+    assert warm.run(_token_graph(), ["inner", "outer"]) == {
+        "inner": Token(7), "outer": Token([7]),
+    }
+    assert warm.report.all_cached()
+
+
+def test_target_is_unpickled_in_the_parent_once():
+    runtime = Runtime(workers=2)
+    UNPICKLED_IN.clear()
+    first = runtime.run(_token_graph(), ["outer"])["outer"]
+    assert runtime.run(_token_graph(), ["outer"])["outer"] is first
+    assert UNPICKLED_IN == [(os.getpid(), [7])]
+
+
+def test_inline_run_reuses_pool_bytes_and_unpickles_them_once():
+    graph = _token_graph()
+    for n in (2, 3):
+        graph.add(Task(f"outer{n}", "tests.test_runtime:wrap_token", {"n": n},
+                       deps=(("inner", "inner"),)))
+    runtime = Runtime(workers=2)
+    assert runtime.run(graph, ["outer"]) == {"outer": Token([7])}
+    UNPICKLED_IN.clear()
+    # A single pending task runs inline, on the memoized pool bytes of
+    # "inner": the first inline consumer opens them, later ones reuse the
+    # object, and the inline artifacts themselves are never pickled.
+    assert runtime.run(graph, ["outer2"]) == {"outer2": Token([7])}
+    assert runtime.run(graph, ["outer3", "inner"]) == {
+        "outer3": Token([7]), "inner": Token(7),
+    }
+    statuses = [r.status for r in runtime.report.records[-4:]]
+    assert statuses == ["memo", "computed", "memo", "computed"]
+    assert UNPICKLED_IN == [(os.getpid(), 7)]
+    sequential = Runtime(workers=1).run(graph, ["outer", "outer2", "outer3"])
+    assert sequential == {name: Token([7]) for name in ("outer", "outer2", "outer3")}
 
 
 # -- the suite on the runtime --------------------------------------------------
