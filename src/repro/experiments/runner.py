@@ -119,17 +119,6 @@ class BenchmarkSuite:
 
     # -- trained systems --------------------------------------------------------
 
-    def make_system(self, system_name: str, include_domains=True):
-        """A fresh system with all databases registered (untrained)."""
-        system = SYSTEM_CLASSES[system_name]()
-        for db_id, database in self.corpus.databases.items():
-            system.register_database(db_id, database, self.corpus.enhanced[db_id])
-        if include_domains:
-            for name in self.domain_names():
-                domain = self.domain(name)
-                system.register_database(name, domain.database, domain.enhanced)
-        return system
-
     def _check_regime(self, domain_name: str | None, regime: str) -> str:
         if domain_name is None:
             if regime not in SPIDER_REGIMES:

@@ -6,14 +6,16 @@ to predict SQL for questions over a *registered* database, which supplies
 schema, content index and enhanced metadata — mirroring how the paper's
 systems receive the target database and its NL column labels at inference.
 
-Training populates two stores per system:
+Training lifts each pair's SQL to SemQL once and feeds the tree to one
+lexicon plus the system's hook:
 
 * a per-database :class:`~repro.nl2sql.lexicon.LearnedLexicon` — domain
   phrasing only helps on the domain it was learned from;
-* a global :class:`~repro.nl2sql.templates_store.TemplateStore` — query
-  *structure* transfers across databases, which is why Spider-trained
-  systems produce plausible-but-wrong SQL on scientific domains rather than
-  nothing at all.
+* the system's :meth:`NLToSQLSystem._observe` hook — ValueNet's template
+  store, T5's translation memory, SmBoP's projection prior.  The first two
+  are global: query *structure* transfers across databases, which is why
+  Spider-trained systems produce plausible-but-wrong SQL on scientific
+  domains rather than nothing at all.
 """
 
 from __future__ import annotations
@@ -23,12 +25,14 @@ from dataclasses import dataclass
 
 from repro.datasets.records import NLSQLPair
 from repro.engine.database import Database
-from repro.errors import TrainingError
+from repro.errors import ReproError, TrainingError
 from repro.lru import BoundedLRU
 from repro.nl2sql.lexicon import LearnedLexicon
 from repro.nl2sql.linking import Links, SchemaLinker
-from repro.nl2sql.templates_store import TemplateStore
 from repro.schema.enhanced import EnhancedSchema
+from repro.semql import nodes as sq
+from repro.semql.from_sql import sql_to_semql
+from repro.sql import parse
 
 
 @dataclass
@@ -52,7 +56,6 @@ class NLToSQLSystem(abc.ABC):
         self._contexts: dict[str, DomainContext] = {}
         self._linkers: dict[str, SchemaLinker] = {}
         self._lexicons: dict[str, LearnedLexicon] = {}
-        self.templates = TemplateStore()
         self._trained = False
         self._link_cache: BoundedLRU[tuple[str, str], Links] = BoundedLRU(
             self.LINK_CACHE_SIZE
@@ -79,21 +82,28 @@ class NLToSQLSystem(abc.ABC):
     # -- training -------------------------------------------------------------------
 
     def train(self, pairs: list[NLSQLPair]) -> None:
-        """Train on NL/SQL pairs (all referenced databases must be registered)."""
+        """Train on NL/SQL pairs (all referenced databases must be registered).
+
+        Each pair's SQL is parsed and lifted to SemQL once; the tree, or
+        None when the SQL is outside the SemQL subset, feeds the lexicon
+        and then :meth:`_observe`, pair by pair in order."""
         if not pairs:
             raise TrainingError("no training pairs supplied")
         for pair in pairs:
             context = self.context(pair.db_id)
-            lexicon = self._lexicons[pair.db_id]
-            lexicon.observe(pair.question, pair.sql, context.database.schema)
-            self.templates.observe(pair.question, pair.sql, context.database.schema)
-            self._observe(pair, context)
+            try:
+                z = sql_to_semql(parse(pair.sql), context.database.schema)
+            except ReproError:
+                z = None
+            self._lexicons[pair.db_id].observe(pair.question, z)
+            self._observe(pair, context, z)
         self._trained = True
         # Training updates the lexicons, which feed linking.
         self._link_cache.clear()
 
-    def _observe(self, pair: NLSQLPair, context: DomainContext) -> None:
-        """Hook for system-specific training statistics."""
+    def _observe(self, pair: NLSQLPair, context: DomainContext, z: sq.Z | None) -> None:
+        """Hook for system-specific training statistics; ``z`` is the pair's
+        SemQL tree, or None when its SQL is outside the SemQL subset."""
 
     # -- prediction -------------------------------------------------------------------
 

@@ -20,10 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.errors import ReproError
 from repro.semql import nodes as sq
-from repro.semql.from_sql import sql_to_semql
-from repro.sql import parse
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:\.[0-9]+)?")
 _STOP = frozenset(
@@ -59,19 +56,19 @@ class LearnedLexicon:
 
     # -- training ----------------------------------------------------------------
 
-    def observe(self, question: str, sql: str, schema) -> bool:
-        """Learn from one NL/SQL pair; returns False if the SQL is outside
-        the SemQL subset (such pairs still count toward n-gram frequency)."""
+    def observe(self, question: str, z: sq.Z | None) -> None:
+        """Learn from one NL/SQL pair, given its SQL as a SemQL tree.
+
+        ``z`` is None when the SQL is outside the SemQL subset; such pairs
+        still count toward n-gram frequency and teach nothing else."""
         # Every set below is walked in sorted order: the counters' insertion
         # order breaks most_common() ties, and set order follows the hash seed.
         ngrams = sorted(set(content_ngrams(question)))
         for ngram in ngrams:
             self.ngram_freq[ngram] += 1
         self.n_pairs += 1
-        try:
-            z = sql_to_semql(parse(sql), schema)
-        except ReproError:
-            return False
+        if z is None:
+            return
 
         columns: set[tuple[str, str]] = set()
         tables: set[str] = set()
@@ -108,7 +105,6 @@ class LearnedLexicon:
                     bucket = assoc.setdefault(ngram, Counter())
                     for key in keys:
                         bucket[key] += 1
-        return True
 
     # -- scoring --------------------------------------------------------------------
 

@@ -41,14 +41,8 @@ class SmBoP(NLToSQLSystem):
         #: seed/synth data improves SmBoP in Table 5.
         self._projection_counts: dict[tuple[str, str, str], int] = {}
 
-    def _observe(self, pair, context) -> None:
-        from repro.errors import ReproError
-        from repro.semql.from_sql import sql_to_semql
-        from repro.sql import parse
-
-        try:
-            z = sql_to_semql(parse(pair.sql), context.database.schema)
-        except ReproError:
+    def _observe(self, pair, context, z) -> None:
+        if z is None:
             return
         for r in (z.left, z.right):
             if r is None:

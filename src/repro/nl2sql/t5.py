@@ -29,10 +29,9 @@ from repro.nl2sql.base import DomainContext, NLToSQLSystem
 from repro.nl2sql.features import question_structure
 from repro.nl2sql.instantiate import GuidedInstantiator
 from repro.nl2sql.structure import TemplateStructure, compatibility, template_structure
+from repro.semql import nodes as sq
 from repro.semql.templates import Template, extract_template
-from repro.semql.from_sql import sql_to_semql
 from repro.semql.to_sql import semql_to_sql
-from repro.sql import parse
 
 _LITERAL_RE = re.compile(r"'[^']*'|(?<![\w.])\d+(?:\.\d+)?(?![\w.])")
 
@@ -50,16 +49,13 @@ class T5Seq2Seq(NLToSQLSystem):
             tuple[np.ndarray, NLSQLPair, Template | None, TemplateStructure | None]
         ] = []
 
-    def _observe(self, pair: NLSQLPair, context: DomainContext) -> None:
+    def _observe(self, pair: NLSQLPair, context: DomainContext, z: sq.Z | None) -> None:
         embedding = self.embedder.embed(pair.question)
         template: Template | None = None
         structure: TemplateStructure | None = None
-        try:
-            z = sql_to_semql(parse(pair.sql), context.database.schema)
+        if z is not None:
             template = extract_template(z, source_sql=pair.sql)
             structure = template_structure(template)
-        except ReproError:
-            template = None
         self._memory.append((embedding, pair, template, structure))
 
     def _predict(self, question: str, context: DomainContext) -> str | None:

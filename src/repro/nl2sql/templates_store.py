@@ -1,9 +1,10 @@
-"""The template memory of the grammar-based NL-to-SQL systems.
+"""The template memory of the ValueNet system.
 
-Training pairs are lifted to SemQL, anonymized into templates (the same
-machinery as the pipeline's seeding phase) and stored with the centroid of
-the question feature vectors that produced them.  Prediction retrieves the
-templates whose feature centroid best matches the new question — so a
+Training pairs, lifted to SemQL by ``NLToSQLSystem.train``, are anonymized
+into templates (the same machinery as the pipeline's seeding phase) and
+stored with the centroid of the question feature vectors that produced
+them.  Prediction retrieves the templates whose feature centroid best
+matches the new question — so a
 "how many X per Y" question retrieves GROUP-BY-count templates, a
 "difference of u and r" question retrieves math templates, and — decisive
 for Table 5 — math/nested templates exist in the store *only if the system
@@ -16,13 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ReproError
 from repro.nl2sql.features import feature_similarity, question_features, question_structure
 from repro.nl2sql.structure import TemplateStructure, compatibility, template_structure
-from repro.schema.model import Schema
-from repro.semql.from_sql import sql_to_semql
+from repro.semql import nodes as sq
 from repro.semql.templates import Template, extract_template
-from repro.sql import parse
 
 
 @dataclass
@@ -45,13 +43,10 @@ class TemplateStore:
 
     entries: dict[str, TemplateEntry] = field(default_factory=dict)
 
-    def observe(self, question: str, sql: str, schema: Schema) -> bool:
-        """Learn the template of one training pair; False if out of grammar."""
-        try:
-            z = sql_to_semql(parse(sql), schema)
-            template = extract_template(z, source_sql=sql)
-        except ReproError:
-            return False
+    def observe(self, question: str, sql: str, z: sq.Z) -> None:
+        """Learn the template of one training pair, given ``sql`` as the
+        SemQL tree ``z``."""
+        template = extract_template(z, source_sql=sql)
         features = question_features(question)
         entry = self.entries.get(template.signature)
         if entry is None:
@@ -62,7 +57,6 @@ class TemplateStore:
             )
         else:
             entry.update(features)
-        return True
 
     def retrieve(
         self,

@@ -16,9 +16,12 @@ SQL).
 
 from __future__ import annotations
 
+from repro.datasets.records import NLSQLPair
 from repro.errors import ReproError
 from repro.nl2sql.base import DomainContext, NLToSQLSystem
 from repro.nl2sql.instantiate import GuidedInstantiator
+from repro.nl2sql.templates_store import TemplateStore
+from repro.semql import nodes as sq
 from repro.semql.to_sql import semql_to_sql
 from repro.sql import ast, parse
 
@@ -28,10 +31,14 @@ class ValueNet(NLToSQLSystem):
 
     name = "valuenet"
 
-    def __init__(self, beam_size: int = 6, require_executable: bool = True) -> None:
+    def __init__(self, beam_size: int = 6) -> None:
         super().__init__()
         self.beam_size = beam_size
-        self.require_executable = require_executable
+        self.templates = TemplateStore()
+
+    def _observe(self, pair: NLSQLPair, context: DomainContext, z: sq.Z | None) -> None:
+        if z is not None:
+            self.templates.observe(pair.question, pair.sql, z)
 
     def _predict(self, question: str, context: DomainContext) -> str | None:
         links = self.link(question, context.db_id)
@@ -60,24 +67,23 @@ class ValueNet(NLToSQLSystem):
             try:
                 query = parse(sql)
             except (ReproError, RecursionError):
-                query = None
-            result = None if query is None else context.database.try_execute(query)
-            if result is None and self.require_executable:
                 continue
-            score = self._score(rank, links, sql, bool(result and result.rows), query)
+            result = context.database.try_execute(query)
+            if result is None:
+                continue
+            score = self._score(rank, links, sql, bool(result.rows), query)
             if score > best_score:
                 best_score = score
                 best_sql = sql
         return best_sql
 
     def _score(
-        self, rank: int, links, sql: str, nonempty: bool, query: ast.Query | None = None
+        self, rank: int, links, sql: str, nonempty: bool, query: ast.Query
     ) -> float:
         """Prefer higher-ranked templates whose fill used linked evidence
         and did not hallucinate literals the question never mentioned.
 
-        ``query`` is ``sql`` already parsed; without it ``sql`` is parsed
-        here."""
+        ``query`` is ``sql`` already parsed."""
         score = -1.2 * float(rank)
         lowered = sql.lower()
         evidence_bonus = 0.0
@@ -91,19 +97,16 @@ class ValueNet(NLToSQLSystem):
             if str(link.value).lower() in lowered:
                 evidence_bonus += 0.3
         score += min(evidence_bonus, 1.0)
-        try:
-            for literal in ast.literals(query if query is not None else parse(sql)):
-                if literal.value is None:
-                    continue
-                text = (
-                    f"{literal.value:g}"
-                    if isinstance(literal.value, float)
-                    else str(literal.value)
-                ).lower()
-                if text not in known_literals:
-                    score -= 0.8
-        except ReproError:
-            pass
+        for literal in ast.literals(query):
+            if literal.value is None:
+                continue
+            text = (
+                f"{literal.value:g}"
+                if isinstance(literal.value, float)
+                else str(literal.value)
+            ).lower()
+            if text not in known_literals:
+                score -= 0.8
         if nonempty:
             score += 0.3
         return score

@@ -427,7 +427,10 @@ class Runtime:
         attempts = dict.fromkeys(pending, 0)
         faults = dict.fromkeys(pending, 0)
         in_flight: dict[str, Any] = {}  # name -> (future, submitted_at)
-        pool = ProcessPoolExecutor(max_workers=min(self.workers, len(pending)))
+        # At most one task per worker is in flight, so a submitted task starts
+        # at once: its span and its overdue clock never include queue wait.
+        slots = min(self.workers, len(pending))
+        pool = ProcessPoolExecutor(max_workers=slots)
         tracer = get_tracer()
         # One open span per task, spanning submit → final outcome (so retries
         # land inside it); worker-side exec spans are adopted as children.
@@ -435,6 +438,8 @@ class Runtime:
 
         def launch() -> None:
             for name in list(remaining):
+                if len(in_flight) >= slots:
+                    return
                 task = graph.task(name)
                 if all(dep in resolved for dep in task.dep_names()):
                     inject = self._draw_fault(name, attempts[name])
@@ -482,7 +487,7 @@ class Runtime:
             policy so an always-crashing task cannot loop forever."""
             nonlocal pool
             pool.shutdown(wait=False, cancel_futures=True)
-            pool = ProcessPoolExecutor(max_workers=min(self.workers, max(1, len(pending))))
+            pool = ProcessPoolExecutor(max_workers=slots)
             for name in list(in_flight):
                 in_flight.pop(name)
                 attempts[name] += 1

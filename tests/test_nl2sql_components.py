@@ -100,13 +100,11 @@ def trained_lexicon(mini_schema):
     for _ in range(4):  # repetition builds association confidence
         lexicon.observe(
             "Find the quasars with high redshift.",
-            "SELECT specobjid FROM specobj WHERE class = 'QSO'",
-            mini_schema,
+            sql_to_semql(parse("SELECT specobjid FROM specobj WHERE class = 'QSO'"), mini_schema),
         )
         lexicon.observe(
             "Show the redshift of galaxies.",
-            "SELECT z FROM specobj WHERE class = 'GALAXY'",
-            mini_schema,
+            sql_to_semql(parse("SELECT z FROM specobj WHERE class = 'GALAXY'"), mini_schema),
         )
     return lexicon
 
@@ -121,8 +119,7 @@ def test_value_association_skips_numbers(mini_schema):
     for _ in range(4):
         lexicon.observe(
             "projects with credits equal to 6",
-            "SELECT z FROM specobj WHERE z = 6",
-            mini_schema,
+            sql_to_semql(parse("SELECT z FROM specobj WHERE z = 6"), mini_schema),
         )
     assert not lexicon.value_scores("projects with credits")
 
@@ -132,10 +129,9 @@ def test_column_association_learned(trained_lexicon):
     assert ("specobj", "z") in scores
 
 
-def test_out_of_grammar_sql_still_counts_frequency(mini_schema):
+def test_out_of_grammar_sql_still_counts_frequency():
     lexicon = LearnedLexicon(db_id="d")
-    ok = lexicon.observe("weird question", "SELECT a FROM nope WHERE", mini_schema)
-    assert not ok
+    lexicon.observe("weird question", None)  # the SQL had no SemQL tree
     assert lexicon.n_pairs == 1
 
 
@@ -145,12 +141,19 @@ def test_out_of_grammar_sql_still_counts_frequency(mini_schema):
 _LEXICON_PICKS = """
 import json
 from repro import adapters
+from repro.errors import ReproError
 from repro.nl2sql.lexicon import LearnedLexicon
+from repro.semql import sql_to_semql
+from repro.sql import parse
 
 domain = adapters.get_adapter("cordis").build(scale=0.2)
 lexicon = LearnedLexicon(db_id=domain.name)
 for pair in domain.seed.pairs:
-    lexicon.observe(pair.question, pair.sql, domain.database.schema)
+    try:
+        z = sql_to_semql(parse(pair.sql), domain.database.schema)
+    except ReproError:
+        z = None
+    lexicon.observe(pair.question, z)
 tables = {
     "column": lexicon.column_assoc,
     "table": lexicon.table_assoc,

@@ -6,12 +6,18 @@ systems answer realizer-style questions, grammar-constrained systems only
 emit executable SQL, and in-domain data improves domain accuracy.
 """
 
+from collections import Counter
+
 import pytest
 
-from repro.errors import TrainingError
+from repro.datasets.records import NLSQLPair
+from repro.errors import ReproError, TrainingError
 from repro.metrics import ExecutionAccuracy
 from repro.nl2sql import SmBoP, T5Seq2Seq, ValueNet
+from repro.nl2sql.lexicon import content_ngrams
+from repro.semql import extract_template, sql_to_semql
 from repro.spider import build_corpus
+from repro.sql import parse
 
 SYSTEMS = (ValueNet, T5Seq2Seq, SmBoP)
 
@@ -65,6 +71,77 @@ def trained(corpus):
         system.train(corpus.train.pairs)
         systems[cls.name] = system
     return systems
+
+
+@pytest.mark.parametrize("cls", SYSTEMS)
+def test_training_parses_each_pair_once(cls, corpus, monkeypatch):
+    """Training lifts each pair's SQL to SemQL once and hands the tree to
+    the lexicon and the system's own hook."""
+    from repro.sql import parser
+
+    parsed = []
+    tokenize = parser.tokenize
+
+    def counting_tokenize(text):  # every parse starts here
+        parsed.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(parser, "tokenize", counting_tokenize)
+    pairs = corpus.train.pairs[:80]
+    make_system(cls, corpus).train(pairs)
+    assert parsed == [pair.sql for pair in pairs]
+
+
+def test_only_valuenet_keeps_a_template_store(trained, corpus):
+    assert not hasattr(trained["smbop"], "templates")
+    assert not hasattr(trained["t5-large"], "templates")
+    signatures = Counter()
+    for pair in corpus.train.pairs:
+        try:
+            z = sql_to_semql(parse(pair.sql), corpus.databases[pair.db_id].schema)
+        except ReproError:
+            continue
+        signatures[extract_template(z).signature] += 1
+    entries = trained["valuenet"].templates.entries
+    assert {signature: entry.count for signature, entry in entries.items()} == signatures
+
+
+@pytest.mark.parametrize("cls", SYSTEMS)
+def test_out_of_semql_pair_only_counts_ngrams(cls, corpus):
+    """A pair whose SQL has no SemQL tree adds its question's n-grams to the
+    lexicon's frequencies and teaches the system nothing else."""
+    good = NLSQLPair(
+        question="Show the names of singers from France.",
+        sql="SELECT name FROM singer WHERE country = 'France'",
+        db_id="concert_singer",
+    )
+    bad = NLSQLPair(  # LIMIT without ORDER BY parses but is outside SemQL
+        question="Give three quirky troubadours.",
+        sql="SELECT name FROM singer LIMIT 3",
+        db_id="concert_singer",
+    )
+    alone = make_system(cls, corpus)
+    alone.train([good])
+    both = make_system(cls, corpus)
+    both.train([good, bad])
+    before = alone._lexicons["concert_singer"]
+    after = both._lexicons["concert_singer"]
+    assert after.n_pairs == before.n_pairs + 1
+    assert after.ngram_freq == before.ngram_freq + Counter(set(content_ngrams(bad.question)))
+    assert after.column_assoc == before.column_assoc
+    assert after.table_assoc == before.table_assoc
+    assert after.value_assoc == before.value_assoc
+    if cls is ValueNet:
+        assert {k: e.count for k, e in both.templates.entries.items()} == {
+            k: e.count for k, e in alone.templates.entries.items()
+        }
+    elif cls is SmBoP:
+        assert both._projection_counts == alone._projection_counts
+    else:
+        # T5 keeps the raw pair for its unconstrained fallback, untemplated.
+        assert len(both._memory) == 2
+        assert both._memory[1][1] is bad
+        assert both._memory[1][2:] == (None, None)
 
 
 def _decode_and_score(system, corpus):

@@ -55,6 +55,11 @@ def traced_emit(params, inputs):
     return params["value"]
 
 
+def nap(params, inputs):
+    time.sleep(params["seconds"])
+    return params["value"]
+
+
 def traced_join(params, inputs):
     tracer = obs.get_tracer()
     with tracer.span("toy.work", value="join"):
@@ -337,6 +342,24 @@ def test_runtime_parallel_span_tree_crosses_process_pool(tmp_path):
     import os
 
     assert any(w.pid != os.getpid() for w in works)
+
+
+def test_parallel_task_spans_exclude_pool_queue_wait():
+    """A task's span opens when a pool worker is free to run it: four
+    independent 0.4 s tasks on two workers, and no task span outgrows its
+    exec span by the 0.4 s the last two would have queued."""
+    graph = TaskGraph()
+    names = [f"nap{i}" for i in range(4)]
+    for i, name in enumerate(names):
+        graph.add(Task(name, "tests.test_obs:nap", {"value": i, "seconds": 0.4}))
+    tracer = Tracer()
+    with obs.use_tracer(tracer):
+        assert Runtime(workers=2).run(graph, names) == dict(zip(names, range(4)))
+    spans = tracer.finished()
+    for name in names:
+        (task,) = _by_name(spans, f"task:{name}")
+        (work,) = _by_name(spans, f"exec:{name}")
+        assert task.duration_s <= work.duration_s + 0.25, name
 
 
 # -- serving integration: asyncio span trees ------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.datasets.records import NLSQLPair
 from repro.nl2sql import ValueNet
 from repro.nl2sql.linking import Links, ValueLink
+from repro.sql import parse
 
 
 @pytest.fixture()
@@ -54,21 +55,26 @@ def test_prediction_is_executable_or_none(valuenet, mini_db):
             assert mini_db.try_execute(predicted) is not None
 
 
+def _score(valuenet, rank, links, sql):
+    """Score a non-empty candidate the way decode does, with its parsed AST."""
+    return valuenet._score(rank, links, sql, True, parse(sql))
+
+
 def test_score_penalises_hallucinated_literals(valuenet):
     links = Links()
     links.values = [ValueLink(table="specobj", column="class", value="STAR", score=2.0)]
     links.numbers = []
-    grounded = valuenet._score(0, links, "SELECT z FROM specobj WHERE class = 'STAR'", True)
-    hallucinated = valuenet._score(
-        0, links, "SELECT z FROM specobj WHERE class = 'STAR' AND ra > 99", True
+    grounded = _score(valuenet, 0, links, "SELECT z FROM specobj WHERE class = 'STAR'")
+    hallucinated = _score(
+        valuenet, 0, links, "SELECT z FROM specobj WHERE class = 'STAR' AND ra > 99"
     )
     assert grounded > hallucinated
 
 
 def test_score_prefers_higher_rank(valuenet):
     links = Links()
-    assert valuenet._score(0, links, "SELECT z FROM specobj", True) > valuenet._score(
-        2, links, "SELECT z FROM specobj", True
+    assert _score(valuenet, 0, links, "SELECT z FROM specobj") > _score(
+        valuenet, 2, links, "SELECT z FROM specobj"
     )
 
 
