@@ -67,9 +67,8 @@ class NLToSQLSystem(abc.ABC):
         self, db_id: str, database: Database, enhanced: EnhancedSchema
     ) -> None:
         """Make a database available for training and prediction."""
-        context = DomainContext(db_id=db_id, database=database, enhanced=enhanced)
-        self._contexts[db_id] = context
-        self._linkers[db_id] = SchemaLinker(database, enhanced)
+        self._contexts[db_id] = DomainContext(db_id=db_id, database=database, enhanced=enhanced)
+        self._linkers.pop(db_id, None)
         self._lexicons.setdefault(db_id, LearnedLexicon(db_id=db_id))
         self._link_cache.clear()
 
@@ -114,13 +113,19 @@ class NLToSQLSystem(abc.ABC):
         consumer mutates the returned :class:`Links`, so results are shared
         through a bounded LRU — a micro-batch warms the memo once and every
         decode inside the batch reuses it.  Training and registration clear
-        the memo because both change what linking would return.
+        the memo because both change what linking would return.  Each
+        database's :class:`SchemaLinker` is built here on first use, so a
+        trained system carries none.
         """
         key = (db_id, question)
         links = self._link_cache.get(key)
         if links is None:
-            lexicon = self._lexicons.get(db_id)
-            links = self._linkers[db_id].link(question, learned=lexicon)
+            linker = self._linkers.get(db_id)
+            if linker is None:
+                context = self.context(db_id)
+                linker = SchemaLinker(context.database, context.enhanced)
+                self._linkers[db_id] = linker
+            links = linker.link(question, learned=self._lexicons.get(db_id))
             self._link_cache.put(key, links)
         return links
 

@@ -11,6 +11,12 @@ accuracy so sharply over the zero-shot rows.
 Association strength is a PMI-flavoured count ratio; high-frequency generic
 n-grams ("find the", "of the") wash out automatically because they
 co-occur with everything.
+
+The count tables are plain dicts of ints, not ``Counter``s: a trained system
+holds tens of thousands of buckets, and plain dicts unpickle on pickle's C
+fast path and drop out of the garbage collector's tracking, where every
+``Counter`` stays tracked.  They are what a trained artifact holds of
+linking; its schema linkers are built on first use (``NLToSQLSystem.link``).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.semql import nodes as sq
 
@@ -43,15 +50,21 @@ def content_ngrams(question: str, max_n: int = 3) -> list[str]:
     return ngrams
 
 
+def dominant(bucket: dict) -> tuple:
+    """The ``(key, count)`` with the highest count, the first such key in
+    insertion order on ties: exactly ``Counter(bucket).most_common(1)[0]``."""
+    return max(bucket.items(), key=itemgetter(1))
+
+
 @dataclass
 class LearnedLexicon:
     """Phrase→schema-element association tables for one database."""
 
     db_id: str
-    column_assoc: dict[str, Counter] = field(default_factory=dict)  # ngram -> {(t,c): n}
-    table_assoc: dict[str, Counter] = field(default_factory=dict)  # ngram -> {t: n}
-    value_assoc: dict[str, Counter] = field(default_factory=dict)  # ngram -> {(t,c,v): n}
-    ngram_freq: Counter = field(default_factory=Counter)
+    column_assoc: dict[str, dict] = field(default_factory=dict)  # ngram -> {(t,c): n}
+    table_assoc: dict[str, dict] = field(default_factory=dict)  # ngram -> {t: n}
+    value_assoc: dict[str, dict] = field(default_factory=dict)  # ngram -> {(t,c,v): n}
+    ngram_freq: dict[str, int] = field(default_factory=dict)
     n_pairs: int = 0
 
     # -- training ----------------------------------------------------------------
@@ -61,11 +74,11 @@ class LearnedLexicon:
 
         ``z`` is None when the SQL is outside the SemQL subset; such pairs
         still count toward n-gram frequency and teach nothing else."""
-        # Every set below is walked in sorted order: the counters' insertion
-        # order breaks most_common() ties, and set order follows the hash seed.
+        # Every set below is walked in sorted order: the tables' insertion
+        # order breaks dominant() ties, and set order follows the hash seed.
         ngrams = sorted(set(content_ngrams(question)))
         for ngram in ngrams:
-            self.ngram_freq[ngram] += 1
+            self.ngram_freq[ngram] = self.ngram_freq.get(ngram, 0) + 1
         self.n_pairs += 1
         if z is None:
             return
@@ -102,18 +115,20 @@ class LearnedLexicon:
         for ngram in ngrams:
             for assoc, keys in learned:
                 if keys:
-                    bucket = assoc.setdefault(ngram, Counter())
+                    bucket = assoc.get(ngram)
+                    if bucket is None:
+                        bucket = assoc[ngram] = {}
                     for key in keys:
-                        bucket[key] += 1
+                        bucket[key] = bucket.get(key, 0) + 1
 
     # -- scoring --------------------------------------------------------------------
 
-    def _score(self, assoc: dict[str, Counter], ngram: str, key) -> float:
+    def _score(self, assoc: dict[str, dict], ngram: str, key) -> float:
         bucket = assoc.get(ngram)
         if not bucket or key not in bucket:
             return 0.0
         joint = bucket[key]
-        freq = self.ngram_freq[ngram]
+        freq = self.ngram_freq.get(ngram, 0)
         if freq < 2 or joint < 2:
             return 0.0
         # PMI-ish: how concentrated is this n-gram on this element?
@@ -134,7 +149,7 @@ class LearnedLexicon:
             bucket = self.column_assoc.get(ngram)
             if not bucket:
                 continue
-            (best_key, best_count), = bucket.most_common(1)
+            best_key, best_count = dominant(bucket)
             total = sum(bucket.values())
             if best_count / total < 0.6:
                 continue
@@ -182,13 +197,13 @@ class LearnedLexicon:
             bucket = self.value_assoc.get(ngram)
             if not bucket:
                 continue
-            (best_key, best_count), = bucket.most_common(1)
+            best_key, best_count = dominant(bucket)
             if best_count / sum(bucket.values()) < 0.5:
                 continue
             # The n-gram must also be *specific to* the value: a generic
             # word appearing in most questions ("spectroscopic") would
             # otherwise credit whatever value dominates the training mix.
-            freq = self.ngram_freq[ngram]
+            freq = self.ngram_freq.get(ngram, 0)
             if freq and best_count / freq < 0.55:
                 continue
             value = self._score(self.value_assoc, ngram, best_key)

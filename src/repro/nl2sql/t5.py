@@ -90,16 +90,21 @@ class T5Seq2Seq(NLToSQLSystem):
 
     def _nearest(self, question: str, db_id: str, n_value_links: int = 0):
         """Neighbours by embedding similarity, re-ranked by the structural
-        plausibility a trained decoder would enforce."""
+        plausibility a trained decoder would enforce (scored once per
+        distinct structure: the memory holds few)."""
         query_vec = self.embedder.embed(question)
         q_struct = question_structure(question, n_value_links=n_value_links)
+        fits: dict[TemplateStructure, float] = {}
         scored = []
         for embedding, pair, template, structure in self._memory:
             similarity = float(np.dot(query_vec, embedding))
             if pair.db_id == db_id:
                 similarity += 0.15  # in-domain prior
             if structure is not None:
-                similarity += 0.2 * compatibility(q_struct, structure)
+                fit = fits.get(structure)
+                if fit is None:
+                    fit = fits[structure] = compatibility(q_struct, structure)
+                similarity += 0.2 * fit
             scored.append((similarity, pair, template))
         scored.sort(key=lambda item: (-item[0], item[1].sql))
         return scored[: self.memory_neighbours]

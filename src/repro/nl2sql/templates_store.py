@@ -69,22 +69,21 @@ class TemplateStore:
 
         Ranking combines (most important first) the structural compatibility
         of the template with the question's digest, the learned feature
-        centroid, and a frequency prior.
+        centroid, and a frequency prior.  Entries share few structures, so
+        each distinct structure is scored once.
         """
         if not self.entries:
             return []
         features = question_features(question)
         q_struct = question_structure(question, n_value_links=n_value_links)
-        scored = [
-            (
-                2.0 * compatibility(q_struct, entry.structure, n_table_links)
-                + feature_similarity(features, entry.centroid)
-                + 0.05 * np.log1p(entry.count),
-                signature,
-                entry,
-            )
-            for signature, entry in self.entries.items()
-        ]
+        fits: dict[TemplateStructure, float] = {}
+        scored = []
+        for signature, entry in self.entries.items():
+            fit = fits.get(entry.structure)
+            if fit is None:
+                fit = fits[entry.structure] = compatibility(q_struct, entry.structure, n_table_links)
+            score = 2.0 * fit + feature_similarity(features, entry.centroid)
+            scored.append((score + 0.05 * np.log1p(entry.count), signature, entry))
         scored.sort(key=lambda item: (-item[0], item[1]))
         return [entry for _, _, entry in scored[:k]]
 

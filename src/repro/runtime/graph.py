@@ -34,7 +34,9 @@ from dataclasses import dataclass, field
 #:    executor, and starts on the vector engine.
 #: 5: a cache entry is a ``{key, task}`` header pickle followed by the
 #:    artifact's own pickle.
-GRAPH_FORMAT = 5
+#: 6: learned lexicons count in plain dicts, not ``Counter``s, and a trained
+#:    system carries no schema linkers (they are built on first use).
+GRAPH_FORMAT = 6
 
 
 def derive_seed(base_seed: int, task_name: str) -> int:

@@ -28,7 +28,9 @@ Grammar sketch (one optional set operation, as in Spider)::
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+from repro.sql.ast import field_names
 
 #: Aggregator vocabulary, in IRNet's canonical order.
 AGG_OPS = ("none", "max", "min", "count", "sum", "avg")
@@ -47,8 +49,8 @@ class SemNode:
     """Base class with generic traversal, mirroring the SQL AST."""
 
     def children(self) -> Iterator["SemNode"]:
-        for f in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, f.name)
+        for name in field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, SemNode):
                 yield value
             elif isinstance(value, tuple):
@@ -265,14 +267,14 @@ def attributes_of(node: SemNode) -> list[A]:
 def map_tree(node: SemNode, fn) -> SemNode:
     """Rebuild a SemQL tree bottom-up, applying ``fn`` to every node."""
     kwargs = {}
-    for f in fields(node):  # type: ignore[arg-type]
-        value = getattr(node, f.name)
+    for name in field_names(type(node)):
+        value = getattr(node, name)
         if isinstance(value, SemNode):
-            kwargs[f.name] = map_tree(value, fn)
+            kwargs[name] = map_tree(value, fn)
         elif isinstance(value, tuple):
-            kwargs[f.name] = tuple(
+            kwargs[name] = tuple(
                 map_tree(v, fn) if isinstance(v, SemNode) else v for v in value
             )
         else:
-            kwargs[f.name] = value
+            kwargs[name] = value
     return fn(type(node)(**kwargs))

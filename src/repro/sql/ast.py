@@ -14,6 +14,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
+from functools import cache
+
+
+@cache
+def field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass node type's field names in declaration order, computed
+    once per type (tree walks visit millions of nodes)."""
+    return tuple(f.name for f in fields(cls))
 
 
 class Node:
@@ -21,8 +29,8 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield every direct child node (descends into lists and tuples)."""
-        for f in fields(self):  # type: ignore[arg-type]
-            value = getattr(self, f.name)
+        for name in field_names(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):

@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.nl2sql.features import (
     comparator_intents,
@@ -17,7 +20,7 @@ from repro.nl2sql.features import (
     question_features,
     question_structure,
 )
-from repro.nl2sql.lexicon import LearnedLexicon, content_ngrams
+from repro.nl2sql.lexicon import LearnedLexicon, content_ngrams, dominant
 from repro.nl2sql.linking import SchemaLinker
 from repro.nl2sql.structure import compatibility, template_structure
 from repro.semql import extract_template, sql_to_semql
@@ -135,14 +138,25 @@ def test_out_of_grammar_sql_still_counts_frequency():
     assert lexicon.n_pairs == 1
 
 
+@given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(1, 3)), min_size=1))
+def test_dominant_is_most_common_one(increments):
+    """Ties included, dominant() picks what Counter.most_common(1) picks."""
+    bucket: dict = {}
+    counter: Counter = Counter()
+    for key, amount in increments:
+        bucket[key] = bucket.get(key, 0) + amount
+        counter[key] += amount
+    assert dominant(bucket) == counter.most_common(1)[0]
+
+
 #: Trains a lexicon on the cordis seed split and prints, as JSON, what
-#: most_common() picks for every n-gram plus what scoring derives from those
+#: dominant() picks for every n-gram plus what scoring derives from those
 #: picks on each dev question.
 _LEXICON_PICKS = """
 import json
 from repro import adapters
 from repro.errors import ReproError
-from repro.nl2sql.lexicon import LearnedLexicon
+from repro.nl2sql.lexicon import LearnedLexicon, dominant
 from repro.semql import sql_to_semql
 from repro.sql import parse
 
@@ -160,7 +174,7 @@ tables = {
     "value": lexicon.value_assoc,
 }
 picks = {
-    name: {ngram: bucket.most_common(1)[0][0] for ngram, bucket in assoc.items()}
+    name: {ngram: dominant(bucket)[0] for ngram, bucket in assoc.items()}
     for name, assoc in tables.items()
 }
 picks["dev"] = [
@@ -176,8 +190,8 @@ print(json.dumps(picks, sort_keys=True))
 
 
 def test_lexicon_picks_do_not_depend_on_the_hash_seed():
-    """most_common() breaks ties by insertion order, so training must fill
-    the counters in an order the interpreter's hash seed cannot change."""
+    """dominant() breaks ties by insertion order, so training must fill
+    the tables in an order the interpreter's hash seed cannot change."""
     root = Path(__file__).resolve().parents[1]
     outputs = []
     for hash_seed in ("0", "1"):

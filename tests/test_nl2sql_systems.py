@@ -6,6 +6,8 @@ systems answer realizer-style questions, grammar-constrained systems only
 emit executable SQL, and in-domain data improves domain accuracy.
 """
 
+import io
+import pickle
 from collections import Counter
 
 import pytest
@@ -127,7 +129,10 @@ def test_out_of_semql_pair_only_counts_ngrams(cls, corpus):
     before = alone._lexicons["concert_singer"]
     after = both._lexicons["concert_singer"]
     assert after.n_pairs == before.n_pairs + 1
-    assert after.ngram_freq == before.ngram_freq + Counter(set(content_ngrams(bad.question)))
+    expected_freq = dict(before.ngram_freq)
+    for ngram in set(content_ngrams(bad.question)):
+        expected_freq[ngram] = expected_freq.get(ngram, 0) + 1
+    assert after.ngram_freq == expected_freq
     assert after.column_assoc == before.column_assoc
     assert after.table_assoc == before.table_assoc
     assert after.value_assoc == before.value_assoc
@@ -142,6 +147,71 @@ def test_out_of_semql_pair_only_counts_ngrams(cls, corpus):
         assert len(both._memory) == 2
         assert both._memory[1][1] is bad
         assert both._memory[1][2:] == (None, None)
+
+
+def _pickled_classes(data: bytes) -> set[tuple[str, str]]:
+    """Every ``(module, name)`` global a pickle references."""
+    found: set[tuple[str, str]] = set()
+
+    class Recording(pickle.Unpickler):
+        def find_class(self, module, name):
+            found.add((module, name))
+            return super().find_class(module, name)
+
+    Recording(io.BytesIO(data)).load()
+    return found
+
+
+@pytest.fixture(scope="module")
+def trained_pickles(corpus):
+    """Each system pickled right after training, before any link or predict."""
+    pickles = {}
+    for cls in SYSTEMS:
+        system = make_system(cls, corpus)
+        system.train(corpus.train.pairs)
+        pickles[cls.name] = pickle.dumps(system)
+    return pickles
+
+
+@pytest.mark.parametrize("name", [cls.name for cls in SYSTEMS])
+def test_trained_lexicons_are_plain_dicts(trained_pickles, name):
+    """Every count table is a plain dict, so no Counter is pickled."""
+    system = pickle.loads(trained_pickles[name])
+    for lexicon in system._lexicons.values():
+        assert type(lexicon.ngram_freq) is dict
+        for table in (lexicon.column_assoc, lexicon.table_assoc, lexicon.value_assoc):
+            assert type(table) is dict
+            assert all(type(bucket) is dict for bucket in table.values())
+    assert system._lexicons["concert_singer"].column_assoc
+    assert ("collections", "Counter") not in _pickled_classes(trained_pickles[name])
+
+
+@pytest.mark.parametrize("name", [cls.name for cls in SYSTEMS])
+def test_trained_system_pickles_no_linker(trained_pickles, name):
+    """Schema linkers are built on first use, not carried by the artifact."""
+    classes = _pickled_classes(trained_pickles[name])
+    assert ("repro.nl2sql.linking", "SchemaLinker") not in classes
+
+
+def test_links_survive_a_pickle_round_trip(corpus):
+    system = make_system(ValueNet, corpus)
+    system.train(corpus.train.pairs)
+    loaded = pickle.loads(pickle.dumps(system))
+    for pair in corpus.dev.pairs:
+        assert loaded.link(pair.question, pair.db_id) == system.link(
+            pair.question, pair.db_id
+        )
+
+
+def test_reregistering_links_against_the_new_database(corpus, mini_db, mini_enhanced):
+    system = make_system(ValueNet, corpus)
+    question = "Find all STARBURST objects."
+    assert not system.link(question, "concert_singer").values
+    system.register_database("concert_singer", mini_db, mini_enhanced)
+    links = system.link(question, "concert_singer")
+    assert ("specobj", "subclass", "STARBURST") in {
+        (v.table, v.column, v.value) for v in links.values
+    }
 
 
 def _decode_and_score(system, corpus):
