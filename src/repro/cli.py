@@ -655,7 +655,6 @@ def _serve_bench(suite, args) -> int:
         load_backends,
         render_report,
         run_serve_bench,
-        write_report,
     )
 
     # --domain (already validated against the registry) narrows the serve
@@ -698,10 +697,6 @@ def _serve_bench(suite, args) -> int:
     report = run_serve_bench(
         bundle.backends, questions, profile, config, fleet=fleet
     )
-    print(render_report(report))
-    # Gates run before the report is written: a downgraded gate (e.g.
-    # --assert-fleet-gain on a 1-cpu host) records its warning *in* the
-    # report, so the written artifact carries the note.
     failures = evaluate_gates(
         report,
         assert_speedup=args.assert_speedup,
@@ -711,14 +706,30 @@ def _serve_bench(suite, args) -> int:
         assert_fleet_gain=args.assert_fleet_gain,
         allow_rejections=args.allow_rejections,
     )
-    if args.out:
-        path = write_report(report, args.out)
+    return _finish_bench(report, render_report, failures, args.out)
+
+
+def _finish_bench(report: dict, render, failures: list[str], out) -> int:
+    """The one ending of every bench command: print the render, write the
+    report to ``out``, print its WARN and FAIL lines, and exit 1 on any
+    failure.
+
+    Gates run before this: a downgraded gate (e.g. --assert-fleet-gain on
+    a 1-cpu host) records its warning *in* the report, so the written
+    artifact carries the note.
+    """
+    from repro.analysis.diagnostics import gate_exit_code
+    from repro.obs.export import write_report
+
+    print(render(report))
+    if out:
+        path = write_report(report, out)
         print(f"report written to {path}", file=sys.stderr)
     for warning in report.get("warnings", ()):
         print(f"WARN: {warning}", file=sys.stderr)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return gate_exit_code(len(failures))
 
 
 def _trace(args) -> int:
@@ -767,9 +778,9 @@ def _trace(args) -> int:
 def _chaos_bench(args) -> int:
     """Run the resilience benchmark and enforce its gates."""
     from repro.resilience.chaosbench import (
+        evaluate_chaos_gates,
         render_report,
         run_chaos_bench,
-        write_report,
     )
 
     if args.domain and len(args.domain) > 1:
@@ -782,27 +793,12 @@ def _chaos_bench(args) -> int:
         skip_tables=args.skip_tables,
         workers=max(2, args.workers),
     )
-    print(render_report(report))
-    if args.out:
-        path = write_report(report, args.out)
-        print(f"report written to {path}", file=sys.stderr)
-
-    code = 0
-    if args.assert_identical and not report["identical"]:
-        print("FAIL: chaos output is not byte-identical to the fault-free run",
-              file=sys.stderr)
-        code = 1
-    if (
-        args.max_dead_letter is not None
-        and report["dead_lettered"] > args.max_dead_letter
-    ):
-        print(f"FAIL: {report['dead_lettered']} dead-lettered queries exceed "
-              f"the budget of {args.max_dead_letter}", file=sys.stderr)
-        code = 1
-    if report["breaker_ended_open"]:
-        print("FAIL: a circuit breaker ended the run open", file=sys.stderr)
-        code = 1
-    return code
+    failures = evaluate_chaos_gates(
+        report,
+        assert_identical=args.assert_identical,
+        max_dead_letter=args.max_dead_letter,
+    )
+    return _finish_bench(report, render_report, failures, args.out)
 
 
 def _robustness_bench(args) -> int:
@@ -813,7 +809,6 @@ def _robustness_bench(args) -> int:
         evaluate_robustness_gates,
         render_report,
         run_robustness_bench,
-        write_report,
     )
 
     domains = tuple(args.domain) if args.domain else adapters.list_adapters()
@@ -834,10 +829,6 @@ def _robustness_bench(args) -> int:
         cache_dir=None if args.no_cache else args.cache_dir,
         fault_schedule=args.fault_schedule,
     )
-    print(render_report(report))
-    if args.out:
-        path = write_report(report, args.out)
-        print(f"report written to {path}", file=sys.stderr)
     if args.timings:
         print(run_report.render(), file=sys.stderr)
     failures = evaluate_robustness_gates(
@@ -845,9 +836,7 @@ def _robustness_bench(args) -> int:
         max_degradation=args.assert_max_degradation,
         assert_invariant=args.assert_invariant,
     )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish_bench(report, render_report, failures, args.out)
 
 
 def _diff_exec(args) -> int:
@@ -904,7 +893,6 @@ def _engine_bench(args) -> int:
         evaluate_engine_gates,
         render_report,
         run_engine_bench,
-        write_report,
     )
 
     config = _config_for(args)
@@ -916,18 +904,12 @@ def _engine_bench(args) -> int:
     report = run_engine_bench(
         domains, workload=args.workload, repeat=args.repeat
     )
-    print(render_report(report))
     failures = evaluate_engine_gates(
         report,
         assert_speedup=args.assert_speedup,
         assert_identical=args.assert_identical,
     )
-    if args.out:
-        path = write_report(report, args.out)
-        print(f"report written to {path}", file=sys.stderr)
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return _finish_bench(report, render_report, failures, args.out)
 
 
 def _explain(args) -> int:

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from repro.datasets.records import BenchmarkDomain
 from repro.engine.backends import get_backend
+from repro.engine.diffexec import _identical, _results_agree
 from repro.engine.executor import Executor, Result
 from repro.engine.vector import VectorEngine
 from repro.errors import ReproError
 from repro.obs import get_tracer
-from repro.obs.export import write_report
+from repro.obs.export import bench_envelope, percentile
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.clock import SYSTEM_CLOCK
 from repro.sql import parse
@@ -41,15 +42,6 @@ from repro.sql import parse
 ARMS = ("native", "vector", "sqlite")
 
 WORKLOADS = ("table5", "serve")
-
-
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation surprises)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _workload_queries(domain: BenchmarkDomain, workload: str, repeat: int):
@@ -160,10 +152,6 @@ def _time_arm(arm, queries, workload: str, repeat: int):
     return times, results, errors
 
 
-def _identical(a: Result, b: Result) -> bool:
-    return list(a.columns) == list(b.columns) and a.rows == b.rows
-
-
 def _agreement(
     baseline: list[Result | None],
     candidate: list[Result | None],
@@ -171,8 +159,6 @@ def _agreement(
     strict: bool,
 ) -> dict:
     """Cross-arm agreement summary vs the native baseline."""
-    from repro.engine.diffexec import _results_agree
-
     mismatches = []
     compared = 0
     for (sql, _), mine, theirs in zip(queries, baseline, candidate):
@@ -203,10 +189,8 @@ def run_engine_bench(
     """Benchmark every arm on every domain; the JSON-ready report."""
     tracer = get_tracer()
     report: dict = {
-        "schema_version": 1,
-        "benchmark": "engine-bench",
+        **bench_envelope("engine-bench", seed=None, repeat=repeat),
         "workload": workload,
-        "repeat": repeat,
         "arms": list(arms),
         "domains": {},
     }
@@ -228,8 +212,8 @@ def run_engine_bench(
                 timings[arm_name] = times
                 outcomes[arm_name] = results
                 entry["arms"][arm_name] = {
-                    "p50_us": round(_percentile(times, 0.50) * 1e6, 1),
-                    "p95_us": round(_percentile(times, 0.95) * 1e6, 1),
+                    "p50_us": round(percentile(times, 0.50) * 1e6, 1),
+                    "p95_us": round(percentile(times, 0.95) * 1e6, 1),
                     "total_ms": round(sum(times) * 1e3, 3),
                     "errors": errors,
                     **({"counters": arm.counters()} if arm.counters() else {}),
@@ -246,7 +230,7 @@ def run_engine_bench(
                 ratio_pool.extend(ratios)
                 total_native += sum(timings["native"])
                 total_vector += sum(timings["vector"])
-                entry["speedup_p50"] = round(_percentile(ratios, 0.50), 2)
+                entry["speedup_p50"] = round(percentile(ratios, 0.50), 2)
                 entry["speedup_total"] = round(
                     sum(timings["native"]) / max(sum(timings["vector"]), 1e-12), 2
                 )
@@ -261,7 +245,7 @@ def run_engine_bench(
             report["domains"][name] = entry
     if ratio_pool:
         report["overall"] = {
-            "speedup_p50": round(_percentile(ratio_pool, 0.50), 2),
+            "speedup_p50": round(percentile(ratio_pool, 0.50), 2),
             "speedup_total": round(total_native / max(total_vector, 1e-12), 2),
             "vector_identical": identical,
         }
@@ -336,5 +320,4 @@ __all__ = [
     "evaluate_engine_gates",
     "render_report",
     "run_engine_bench",
-    "write_report",
 ]

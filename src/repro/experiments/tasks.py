@@ -211,10 +211,6 @@ def train_system_task(params: dict, inputs: dict):
         system.register_database(db_id, database, corpus.enhanced[db_id])
     domain_name = params["domain"]
     regime = params["regime"]
-    if domain_name is not None:
-        for name in params["domains"]:
-            domain = inputs[domain_task(name)]
-            system.register_database(name, domain.database, domain.enhanced)
     pairs = list(corpus.train.pairs)
     if domain_name is None:
         if regime == "plus-synth":
@@ -222,7 +218,8 @@ def train_system_task(params: dict, inputs: dict):
         elif regime == "synth-only":
             pairs = list(inputs[SYNTH_SPIDER_TASK].pairs)
     else:
-        domain = inputs[domain_task(domain_name)]
+        domain: BenchmarkDomain = inputs["domain"]
+        system.register_database(domain_name, domain.database, domain.enhanced)
         if regime in ("seed", "both"):
             pairs += list(domain.seed.pairs)
         if regime in ("synth", "both"):
@@ -354,7 +351,6 @@ def build_suite_graph(
         )
     )
 
-    domain_deps = tuple((domain_task(n), domain_task(n)) for n in domains)
     for system in SYSTEM_CLASSES:
         for name in domains:
             for regime in DOMAIN_REGIMES:
@@ -363,13 +359,8 @@ def build_suite_graph(
                     Task(
                         tname,
                         _FN("train_system_task"),
-                        {
-                            "system": system,
-                            "domain": name,
-                            "domains": list(domains),
-                            "regime": regime,
-                        },
-                        deps=(("corpus", CORPUS_TASK),) + domain_deps,
+                        {"system": system, "domain": name, "regime": regime},
+                        deps=(("corpus", CORPUS_TASK), ("domain", domain_task(name))),
                     )
                 )
                 graph.add(

@@ -32,26 +32,23 @@ def results_match(gold: Result, predicted: Result, ordered: bool) -> bool:
 
 
 def execution_match(
-    database: Database,
-    gold_sql: str,
-    predicted_sql: str | None,
-    diagnostics: dict[str, int] | None = None,
+    database: Database, gold_sql: str, predicted_sql: str | None
 ) -> bool:
     """True iff ``predicted_sql`` executes and matches ``gold_sql``'s result.
 
-    ``diagnostics`` (error class name -> count) records gold-side parse
-    errors the ORDER BY check would otherwise swallow silently.
+    Gold is parsed once: that tree is executed and read for ORDER BY.
     """
     if predicted_sql is None:
         return False
-    gold_result = database.try_execute(gold_sql)
-    if gold_result is None:
-        raise ValueError(f"gold query failed to execute: {gold_sql!r}")
+    try:
+        gold = parse(gold_sql)
+        gold_result = database.execute(gold)
+    except (ReproError, RecursionError):
+        raise ValueError(f"gold query failed to execute: {gold_sql!r}") from None
     predicted_result = database.try_execute(predicted_sql)
     if predicted_result is None:
         return False
-    ordered = _is_ordered(gold_sql, diagnostics)
-    return results_match(gold_result, predicted_result, ordered)
+    return results_match(gold_result, predicted_result, _query_is_ordered(gold))
 
 
 @dataclass
@@ -67,9 +64,6 @@ class ExecutionAccuracy:
     correct: int = 0
     failures: list[tuple[str, str | None]] = field(default_factory=list)
     triage: dict[str, int] = field(default_factory=dict)
-    #: Error class name -> count for gold-side parse errors swallowed by
-    #: the ORDER BY check (diagnostics, not part of the accuracy).
-    parse_errors: dict[str, int] = field(default_factory=dict)
 
     def add(
         self,
@@ -78,9 +72,7 @@ class ExecutionAccuracy:
         predicted_sql: str | None,
         enhanced=None,
     ) -> bool:
-        matched = execution_match(
-            database, gold_sql, predicted_sql, diagnostics=self.parse_errors
-        )
+        matched = execution_match(database, gold_sql, predicted_sql)
         self.total += 1
         if matched:
             self.correct += 1
@@ -101,15 +93,12 @@ class ExecutionAccuracy:
         return self.correct / self.total
 
 
-def _is_ordered(sql: str, diagnostics: dict[str, int] | None = None) -> bool:
+def _is_ordered(sql: str) -> bool:
     try:
         query = parse(sql)
-    except ReproError as exc:
+    except ReproError:
         # Only the parser's own failure modes are downgraded to "unordered";
         # anything else (including KeyboardInterrupt) propagates.
-        if diagnostics is not None:
-            name = type(exc).__name__
-            diagnostics[name] = diagnostics.get(name, 0) + 1
         return False
     return _query_is_ordered(query)
 

@@ -12,7 +12,8 @@ The subsystem has three pieces:
   :class:`MetricsRegistry` of counters, gauges and fixed-bucket histograms,
   with one shared latency-bucket layout for the whole repo.
 * **Exporters** (:mod:`repro.obs.export`): Chrome ``trace_event`` JSON,
-  a JSONL span log, and a terminal flame summary.
+  a JSONL span log, a terminal flame summary, and the bench reports'
+  shared envelope, percentile and writer.
 
 Determinism contract: span ids come from counters (no RNG), tracing reads
 the injectable clock only, and no instrument feeds any content hash — so

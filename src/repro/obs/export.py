@@ -9,15 +9,19 @@ flame summary, and the JSON writer every bench report goes through.
 * :func:`flame_summary` aggregates the span tree by name-path and renders a
   top-down table of total/self time — the "where did the time go" answer
   without leaving the terminal.
-* :func:`write_report` writes a bench report (``engine-bench``,
-  ``serve-bench``, ``chaos-bench``, ``robustness-bench``, ``diff-exec``)
-  as sorted, indented JSON, so reruns of the same report are
+* The bench harness: :func:`bench_envelope` starts every bench report
+  (``engine-bench``, ``serve-bench``, ``chaos-bench``,
+  ``robustness-bench``), :func:`percentile` is their one latency
+  percentile, and :func:`write_report` writes a report (``diff-exec``'s
+  too) as sorted, indented JSON, so reruns of the same report are
   byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 from repro.obs.span import Span
@@ -225,6 +229,39 @@ def flame_summary(spans, max_lines: int = 40) -> str:
 
 
 # -- bench reports -------------------------------------------------------------
+
+#: Version of the report layout every bench command writes.
+BENCH_SCHEMA_VERSION = 3
+
+
+def bench_envelope(benchmark: str, *, seed: int | None, repeat: int) -> dict:
+    """The keys every bench report starts with.
+
+    ``seed`` is the run's seed (None for an unseeded workload), ``repeat``
+    how many times each measurement ran.  Nothing here differs between two
+    runs on one host, so a deterministic report stays byte-identical.
+    """
+    # Imported here: ``repro.obs`` imports this module.
+    from repro.obs import current_trace_path
+
+    return {
+        "schema_version": BENCH_SCHEMA_VERSION,
+        "benchmark": benchmark,
+        "host": {"cpus": os.cpu_count()},
+        "seed": seed,
+        "repeat": repeat,
+        # Trace artifact of the enclosing ``trace`` run (None otherwise).
+        "trace_path": current_trace_path(),
+    }
+
+
+def percentile(samples, q: float) -> float:
+    """Exact nearest-rank percentile: the smallest sample with at least a
+    ``q`` share of the samples at or below it (0.0 for no samples)."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 def write_report(report: dict, path: str | Path) -> Path:

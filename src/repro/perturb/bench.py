@@ -6,7 +6,7 @@ family, severity, domain, system and Spider hardness class, the mean
 accuracy and the mean *degradation* (baseline accuracy minus perturbed
 accuracy, positive = the perturbation hurt).
 
-The report (``benchmarks/BENCH_robustness.json``, ``schema_version`` 1) is
+The report (``benchmarks/BENCH_robustness.json``) is
 deliberately free of wall-clock and cache-statistics noise: for a fixed
 seed it is **byte-identical** across worker counts and across warm/cold
 caches — the property the CI smoke and the determinism suite assert.  Run
@@ -26,22 +26,16 @@ from dataclasses import asdict
 
 from repro import adapters, obs
 from repro.errors import PerturbationError
-from repro.obs.export import write_report as write_report  # re-exported
+from repro.obs.export import bench_envelope
 from repro.obs.metrics import MetricsRegistry
 from repro.perturb import FAMILY_NAMES, SEVERITIES
 from repro.perturb.base import BASELINE_FAMILY
 from repro.perturb.tasks import build_matrix_graph, matrix_targets
+from repro.resilience.chaosbench import FAST_RETRY
 from repro.resilience.faults import SCHEDULES, FaultPlan
-from repro.resilience.retry import RetryPolicy
 from repro.runtime import RunReport, Runtime
 
 DEFAULT_SYSTEMS = ("valuenet",)
-
-#: Millisecond-scale backoff for fault-schedule runs (recovery must not
-#: add meaningful wall-clock; mirrors chaos-bench's pacing).
-FAST_RETRY = RetryPolicy(
-    max_attempts=4, base_delay_s=0.001, max_delay_s=0.004, budget_s=0.5
-)
 
 
 def run_robustness_bench(
@@ -213,13 +207,9 @@ def _assemble_report(
         }
 
     return {
-        "schema_version": 1,
-        "benchmark": "robustness",
-        "seed": seed,
+        **bench_envelope("robustness", seed=seed, repeat=1),
         "scale": scale,
         "dev_limit": dev_limit,
-        # Trace artifact of the enclosing ``trace`` run (None otherwise).
-        "trace_path": obs.current_trace_path(),
         "matrix": {
             "domains": list(domains),
             "systems": list(systems),

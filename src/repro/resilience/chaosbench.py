@@ -14,8 +14,8 @@ Two replays run under one named fault schedule (:data:`SCHEDULES`):
 
 The report (``benchmarks/BENCH_resilience.json``) carries per-class
 injection and recovery counts, retry histograms, dead letters and added
-wall-clock, and the gates the CLI asserts (``--assert-identical``,
-``--max-dead-letter``, breaker-ended-open).
+wall-clock; :func:`evaluate_chaos_gates` checks the gates the CLI asserts
+(``--assert-identical``, ``--max-dead-letter``, breaker-ended-open).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import random
 from dataclasses import asdict
 from pathlib import Path
 
-from repro import adapters, obs
+from repro import adapters
 from repro.datasets.records import Split
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tasks import (
@@ -36,7 +36,7 @@ from repro.experiments.tasks import (
 )
 from repro.llm.models import GPT3_PROFILE, make_model
 from repro.obs import get_tracer
-from repro.obs.export import write_report as write_report  # re-exported
+from repro.obs.export import bench_envelope
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import SYSTEM_CLOCK, FakeClock
@@ -241,12 +241,9 @@ def run_chaos_bench(
     spec = SCHEDULES[schedule]
     registry = MetricsRegistry()
     report: dict = {
-        "schema_version": 1,
-        "benchmark": "resilience",
+        **bench_envelope("resilience", seed=AUGMENT_SEED, repeat=1),
         "schedule": schedule,
         "spec": spec,
-        # Trace artifact of the enclosing ``trace`` run (None otherwise).
-        "trace_path": obs.current_trace_path(),
         "augment": _run_augment(domain, spec, registry),
     }
     if not skip_tables:
@@ -284,6 +281,29 @@ def run_chaos_bench(
     # Unified-registry snapshot: chaos-arm runtime + resilience instruments.
     report["registry"] = registry.snapshot()
     return report
+
+
+def evaluate_chaos_gates(
+    report: dict,
+    *,
+    assert_identical: bool = False,
+    max_dead_letter: int | None = None,
+) -> list[str]:
+    """Every gate violation in a report (empty = the run passes).
+
+    A circuit breaker that ended the run open always gates.
+    """
+    failures: list[str] = []
+    if assert_identical and not report["identical"]:
+        failures.append("chaos output is not byte-identical to the fault-free run")
+    if max_dead_letter is not None and report["dead_lettered"] > max_dead_letter:
+        failures.append(
+            f"{report['dead_lettered']} dead-lettered queries exceed the "
+            f"budget of {max_dead_letter}"
+        )
+    if report["breaker_ended_open"]:
+        failures.append("a circuit breaker ended the run open")
+    return failures
 
 
 def render_report(report: dict) -> str:

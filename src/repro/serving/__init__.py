@@ -28,7 +28,6 @@ from repro.serving.loadgen import (
     render_report,
     replay,
     run_serve_bench,
-    write_report,
 )
 from repro.serving.metrics import LatencyHistogram, ServerMetrics, ServerStats
 from repro.serving.request import STATUSES, ServeError, ServeResult
@@ -59,5 +58,4 @@ __all__ = [
     "render_report",
     "replay",
     "run_serve_bench",
-    "write_report",
 ]

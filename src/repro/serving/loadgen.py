@@ -25,13 +25,10 @@ batched arm (``fleet_identity``): same stream, same seed, same SQL.
 from __future__ import annotations
 
 import asyncio
-import math
-import os
 from dataclasses import asdict, dataclass, replace
 
-from repro import obs
 from repro.obs import get_tracer
-from repro.obs.export import write_report as write_report  # re-exported
+from repro.obs.export import bench_envelope, percentile
 from repro.resilience.clock import SYSTEM_CLOCK
 from repro.serving.metrics import STAGES, LatencyHistogram
 from repro.serving.server import InferenceServer, ServerConfig
@@ -140,21 +137,14 @@ async def replay(
     return results
 
 
-def _percentiles(samples_ms: list[float]) -> dict:
-    """Exact nearest-rank percentiles (no histogram binning error)."""
-    if not samples_ms:
-        return {"mean_ms": 0.0, "p50_ms": 0.0, "p95_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0}
-    ordered = sorted(samples_ms)
-
-    def at(q: float) -> float:
-        return ordered[max(1, math.ceil(q * len(ordered))) - 1]
-
+def _latency(samples_ms: list[float]) -> dict:
+    """Exact sample percentiles (no histogram binning error)."""
     return {
-        "mean_ms": sum(ordered) / len(ordered),
-        "p50_ms": at(0.50),
-        "p95_ms": at(0.95),
-        "p99_ms": at(0.99),
-        "max_ms": ordered[-1],
+        "mean_ms": sum(samples_ms) / len(samples_ms) if samples_ms else 0.0,
+        "p50_ms": percentile(samples_ms, 0.50),
+        "p95_ms": percentile(samples_ms, 0.95),
+        "p99_ms": percentile(samples_ms, 0.99),
+        "max_ms": percentile(samples_ms, 1.0),
     }
 
 
@@ -229,9 +219,9 @@ def _summarize(
         #: actually sustained, vs the offered open-loop rate).
         "achieved_qps": len(results) / wall_s if wall_s > 0 else 0.0,
         "offered_qps": offered_qps,
-        "latency": _percentiles(totals_ms),
+        "latency": _latency(totals_ms),
         #: Exact queue-stage percentiles (admission -> dequeue wait).
-        "queue_latency": _percentiles(queues_ms),
+        "queue_latency": _latency(queues_ms),
         # (domain, question) -> SQL; popped before the report is written,
         # consumed by the fleet identity check.
         "answers": answers,
@@ -258,7 +248,7 @@ def _tenant_stats(results: list) -> dict:
             "requests": bucket["requests"],
             "answered": bucket["answered"],
             "rejected": bucket["rejected"],
-            "latency": _percentiles(bucket["samples"]),
+            "latency": _latency(bucket["samples"]),
         }
         for tenant, bucket in sorted(by_tenant.items())
     }
@@ -280,127 +270,84 @@ def _tenant_stats(results: list) -> dict:
 
 
 async def _run_arm(
+    label: str,
     backends: dict,
+    build,
+    details,
     stream: list[tuple[str, str]],
     profile: LoadProfile,
-    config: ServerConfig,
-    label: str = "arm",
-    clock=SYSTEM_CLOCK,
-) -> dict:
-    _reset_link_memos(backends)
-    server = InferenceServer(backends, config, clock=clock)
-    with get_tracer().span(f"serve-bench.{label}", requests=len(stream)):
-        async with server:
-            stop = asyncio.Event()
-            sampler = asyncio.ensure_future(
-                _sample_queue_depth(server.pending, stop)
-            )
-            started = clock.now()
-            results = await replay(server, stream, profile)
-            wall_s = clock.now() - started
-            stop.set()
-            queue_depth = await sampler
-    stats = server.stats()
-
-    arm = _summarize(results, wall_s, offered_qps=profile.qps)
-    arm.update(
-        {
-            "queue_depth": queue_depth,
-            "counters": stats.counters,
-            "cache": stats.cache,
-            "stage_latency_ms": stats.latency_ms,
-            "breakers": server.breaker_states(),
-            # The arm's full unified-registry snapshot (serving.* instruments).
-            "registry": server.metrics.registry.snapshot(),
-        }
-    )
-    return arm
-
-
-def _fleet_counters(router) -> dict:
-    """The router's ``fleet.*`` counters plus every replica's serving
-    counters summed (cache hits and single-flight happen on the replicas)."""
-    counters = dict(router.counters)
-    for replica in router.replicas.values():
-        for name, value in replica.server.metrics.counters.items():
-            counters[name] = counters.get(name, 0) + value
-    return counters
-
-
-def _merged_stage_latency(router) -> dict:
-    """Fleet-wide per-stage latency: every replica's histograms merged."""
-    merged = {}
-    for stage in STAGES:
-        combined = LatencyHistogram()
-        for replica in router.replicas.values():
-            combined.merge(replica.server.metrics.histograms[stage])
-        merged[stage] = combined.summary()
-    return merged
-
-
-async def _run_fleet_arm(
-    backends: dict,
-    stream: list[tuple[str, str]],
-    profile: LoadProfile,
-    fleet_profile: FleetProfile,
-    config: ServerConfig,
-    label: str = "fleet",
     *,
     qps: float | None = None,
     tenants: int = 1,
-    quotas=None,
-    clock=SYSTEM_CLOCK,
 ) -> dict:
-    from repro.fleet import FleetConfig, build_fleet
+    """Replay ``stream`` through the target ``build()`` makes.
 
+    The link memos are cleared before ``build`` runs, since a fleet
+    deep-copies the systems it serves.  ``details(target)`` adds the
+    target's own counters, latencies and breakers to the arm.
+    """
     _reset_link_memos(backends)
-    router = build_fleet(
-        backends,
-        fleet_profile.replicas,
-        server_config=config,
-        config=FleetConfig(
-            vnodes=fleet_profile.vnodes,
-            isolation=fleet_profile.isolation,
-        ),
-        quotas=quotas,
-        clock=clock,
-    )
-    with get_tracer().span(
-        f"serve-bench.{label}",
-        requests=len(stream),
-        replicas=fleet_profile.replicas,
-    ):
-        async with router:
+    target = build()
+    qps = qps if qps is not None else profile.qps
+    with get_tracer().span(f"serve-bench.{label}", requests=len(stream)):
+        async with target:
             stop = asyncio.Event()
             sampler = asyncio.ensure_future(
-                _sample_queue_depth(router.pending, stop)
+                _sample_queue_depth(target.pending, stop)
             )
-            started = clock.now()
+            started = SYSTEM_CLOCK.now()
             results = await replay(
-                router, stream, profile, qps=qps, tenants=tenants
+                target, stream, profile, qps=qps, tenants=tenants
             )
-            wall_s = clock.now() - started
+            wall_s = SYSTEM_CLOCK.now() - started
             stop.set()
             queue_depth = await sampler
 
     arm = _summarize(results, wall_s, offered_qps=qps)
-    fleet_stats = router.stats()
-    arm.update(
-        {
-            "queue_depth": queue_depth,
-            "replicas": fleet_profile.replicas,
-            "counters": _fleet_counters(router),
-            "stage_latency_ms": _merged_stage_latency(router),
-            # Per-replica circuit breakers (uniform key for the gates).
-            "breakers": fleet_stats["breakers"],
-            "fleet": fleet_stats,
-            # The merged fleet view: router fleet.* + replica.<slot>.serving.*.
-            "registry": router.metrics_view(),
-        }
-    )
+    arm["queue_depth"] = queue_depth
+    arm.update(details(target))
     if tenants > 1:
         arm["tenants"] = _tenant_stats(results)
     return arm
+
+
+def _server_details(server) -> dict:
+    stats = server.stats()
+    return {
+        "counters": stats.counters,
+        "cache": stats.cache,
+        "stage_latency_ms": stats.latency_ms,
+        "breakers": server.breaker_states(),
+        # The arm's full unified-registry snapshot (serving.* instruments).
+        "registry": server.metrics.registry.snapshot(),
+    }
+
+
+def _fleet_details(router) -> dict:
+    """The router's ``fleet.*`` counters plus every replica's serving
+    counters summed (cache hits and single-flight happen on the replicas),
+    and every replica's stage histograms merged."""
+    counters = dict(router.counters)
+    for replica in router.replicas.values():
+        for name, value in replica.server.metrics.counters.items():
+            counters[name] = counters.get(name, 0) + value
+    stage_latency = {}
+    for stage in STAGES:
+        combined = LatencyHistogram()
+        for replica in router.replicas.values():
+            combined.merge(replica.server.metrics.histograms[stage])
+        stage_latency[stage] = combined.summary()
+    fleet_stats = router.stats()
+    return {
+        "replicas": len(router.replicas),
+        "counters": counters,
+        "stage_latency_ms": stage_latency,
+        # Per-replica circuit breakers (uniform key for the gates).
+        "breakers": fleet_stats["breakers"],
+        "fleet": fleet_stats,
+        # The merged fleet view: router fleet.* + replica.<slot>.serving.*.
+        "registry": router.metrics_view(),
+    }
 
 
 def _compare_answers(reference: dict, candidate: dict) -> dict:
@@ -439,25 +386,40 @@ def run_serve_bench(
     stream = build_stream(questions_by_domain, profile)
     unique = len({(domain, question) for domain, question in stream})
 
-    unbatched_config = replace(config, max_batch=1, cache_capacity=0)
-    unbatched = asyncio.run(
-        _run_arm(backends, stream, profile, unbatched_config, label="unbatched")
+    def run_server(label: str, arm_config: ServerConfig) -> dict:
+        build = lambda: InferenceServer(backends, arm_config)
+        return asyncio.run(
+            _run_arm(label, backends, build, _server_details, stream, profile)
+        )
+
+    def run_fleet(label: str, arm_stream, qps=None, tenants=1, quotas=None) -> dict:
+        from repro.fleet import FleetConfig, build_fleet
+
+        fleet_config = FleetConfig(vnodes=fleet.vnodes, isolation=fleet.isolation)
+        build = lambda: build_fleet(
+            backends, fleet.replicas, server_config=config,
+            config=fleet_config, quotas=quotas,
+        )
+        return asyncio.run(
+            _run_arm(
+                label, backends, build, _fleet_details, arm_stream, profile,
+                qps=qps, tenants=tenants,
+            )
+        )
+
+    unbatched = run_server(
+        "unbatched", replace(config, max_batch=1, cache_capacity=0)
     )
-    batched = asyncio.run(
-        _run_arm(backends, stream, profile, config, label="batched")
-    )
+    batched = run_server("batched", config)
     arms = {"unbatched": unbatched, "batched": batched}
 
     unbatched_qps = unbatched["throughput_qps"]
+    # ``host.cpus`` is the capacity context for the fleet comparison:
+    # replica parallelism (process isolation) cannot exceed the host's core
+    # count, so a single-core host pins fleet_speedup near 1.0 by Little's
+    # law.
     report = {
-        "schema_version": 2,
-        "benchmark": "serving",
-        # Capacity context for the fleet comparison: replica parallelism
-        # (process isolation) cannot exceed the host's core count, so a
-        # single-core host pins fleet_speedup near 1.0 by Little's law.
-        "host": {"cpus": os.cpu_count()},
-        # Trace artifact of the enclosing ``trace`` run (None otherwise).
-        "trace_path": obs.current_trace_path(),
+        **bench_envelope("serving", seed=profile.seed, repeat=profile.repeat),
         "profile": asdict(profile),
         "fleet_profile": asdict(fleet) if fleet else None,
         "config": asdict(config),
@@ -470,9 +432,7 @@ def run_serve_bench(
     }
 
     if fleet is not None and fleet.replicas >= 2:
-        fleet_arm = asyncio.run(
-            _run_fleet_arm(backends, stream, profile, fleet, config)
-        )
+        fleet_arm = run_fleet("fleet", stream)
         arms["fleet"] = fleet_arm
         batched_qps = batched["throughput_qps"]
         report["fleet_speedup"] = (
@@ -488,9 +448,6 @@ def run_serve_bench(
             batched["answers"], fleet_arm["answers"]
         )
         if fleet.soak_qps:
-            soak_stream = (
-                stream[: fleet.soak_requests] if fleet.soak_requests else stream
-            )
             quotas = None
             if fleet.quota_rate:
                 from repro.fleet import QuotaPolicy, TenantQuotas
@@ -501,18 +458,12 @@ def run_serve_bench(
                         burst=fleet.quota_burst or fleet.quota_rate,
                     )
                 )
-            arms["soak"] = asyncio.run(
-                _run_fleet_arm(
-                    backends,
-                    soak_stream,
-                    profile,
-                    fleet,
-                    config,
-                    label="soak",
-                    qps=fleet.soak_qps,
-                    tenants=max(1, fleet.tenants),
-                    quotas=quotas,
-                )
+            arms["soak"] = run_fleet(
+                "soak",
+                stream[: fleet.soak_requests] if fleet.soak_requests else stream,
+                qps=fleet.soak_qps,
+                tenants=max(1, fleet.tenants),
+                quotas=quotas,
             )
 
     # The answer maps fed the identity check; they don't belong in the report.

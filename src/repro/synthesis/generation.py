@@ -45,7 +45,6 @@ class GenerationConfig:
     queries_per_template: int = 20
     max_attempts: int = 30
     require_nonempty: bool = True
-    max_result_rows: int | None = None  # skip queries flooding millions of rows
     #: Run the static analyzer on each lowered candidate and skip execution
     #: when it is provably doomed (would error, or — under
     #: ``require_nonempty`` — provably returns no rows).  The filter is
@@ -122,12 +121,6 @@ class SqlGenerator:
                 self.stats.runtime_rejected += 1
                 continue
             if self.config.require_nonempty and not result.rows:
-                self.stats.runtime_rejected += 1
-                continue
-            if (
-                self.config.max_result_rows is not None
-                and len(result.rows) > self.config.max_result_rows
-            ):
                 self.stats.runtime_rejected += 1
                 continue
             self.stats.accepted += 1

@@ -145,3 +145,31 @@ def test_train_regime_validation(suite):
         suite.train_regime("valuenet", "sdss", "nonsense")
     with pytest.raises(ValueError):
         suite.train_regime("valuenet", None, "seed")
+
+
+def test_domain_train_task_reads_only_corpus_and_its_own_domain():
+    """A domain-trained system depends on, registers and is keyed by its own
+    domain only, so a suite over fewer domains shares its cache entries."""
+    import dataclasses
+
+    from repro.experiments.config import quick
+    from repro.experiments.tasks import (
+        CORPUS_TASK,
+        DOMAIN_REGIMES,
+        SYSTEM_CLASSES,
+        build_suite_graph,
+        domain_task,
+        train_task,
+    )
+
+    everything = build_suite_graph(quick())
+    cordis_only = build_suite_graph(dataclasses.replace(quick(), domains=("cordis",)))
+    for system in SYSTEM_CLASSES:
+        for regime in DOMAIN_REGIMES:
+            name = train_task(system, "cordis", regime)
+            task = everything.task(name)
+            assert task.deps == (
+                ("corpus", CORPUS_TASK), ("domain", domain_task("cordis")),
+            )
+            assert "domains" not in task.params
+            assert everything.content_hash(name) == cordis_only.content_hash(name)

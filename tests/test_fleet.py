@@ -39,6 +39,7 @@ from repro.fleet import (
     make_replica,
     stable_hash,
 )
+from repro.obs.export import BENCH_SCHEMA_VERSION
 from repro.resilience import FakeClock
 from repro.serving import (
     DomainBackend,
@@ -572,7 +573,7 @@ def fleet_report():
 
 
 def test_report_has_fleet_and_soak_arms(fleet_report):
-    assert fleet_report["schema_version"] == 2
+    assert fleet_report["schema_version"] == BENCH_SCHEMA_VERSION
     assert set(fleet_report["arms"]) == {"unbatched", "batched", "fleet", "soak"}
     for arm in fleet_report["arms"].values():
         assert arm["achieved_qps"] > 0

@@ -38,6 +38,7 @@ from repro.obs import (
     write_chrome_trace,
     write_span_log,
 )
+from repro.obs.export import BENCH_SCHEMA_VERSION, percentile
 from repro.resilience.clock import FakeClock
 from repro.runtime import Runtime, Task, TaskGraph
 from repro.serving import DomainBackend, InferenceServer, ServerConfig
@@ -553,6 +554,93 @@ def test_serve_bench_report_carries_registry_and_trace_path():
         assert registry["serving.served"]["value"] > 0
         assert registry["serving.latency.total"]["kind"] == "histogram"
     json.dumps(report)  # still JSON-serializable end to end
+
+
+# -- the bench harness -----------------------------------------------------------
+
+
+ENVELOPE_KEYS = {"schema_version", "benchmark", "host", "seed", "repeat", "trace_path"}
+
+
+def _engine_report():
+    from repro import adapters
+    from repro.engine.bench import run_engine_bench
+
+    domain = adapters.get_adapter("cordis").build(scale=0.15)
+    return run_engine_bench({"cordis": domain}, repeat=1, arms=("native", "vector"))
+
+
+def _serve_report():
+    from repro.serving import LoadProfile, run_serve_bench
+
+    backends = {"demo": DomainBackend(name="demo", system=EchoSystem())}
+    profile = LoadProfile(concurrency=2, repeat=2, seed=3)
+    return run_serve_bench(backends, {"demo": ["q1", "q2"]}, profile, ServerConfig())
+
+
+def _chaos_report():
+    from repro.resilience.chaosbench import run_chaos_bench
+
+    return run_chaos_bench(skip_tables=True)
+
+
+def _robustness_report():
+    from repro.perturb.bench import run_robustness_bench
+
+    report, _ = run_robustness_bench(
+        domains=("cordis",), families=("paraphrase",), severities=(1,),
+        scale=0.15, dev_limit=4,
+    )
+    return report
+
+
+@pytest.mark.parametrize(
+    "run",
+    [_engine_report, _serve_report, _chaos_report, _robustness_report],
+    ids=["engine", "serve", "chaos", "robustness"],
+)
+def test_every_bench_report_starts_with_the_envelope(run):
+    previous = obs.set_trace_path("traces/trace-bench.json")
+    try:
+        report = run()
+    finally:
+        obs.set_trace_path(previous)
+    assert ENVELOPE_KEYS <= set(report)
+    assert report["schema_version"] == BENCH_SCHEMA_VERSION
+    assert report["host"]["cpus"] >= 1
+    assert report["repeat"] >= 1
+    assert report["trace_path"] == "traces/trace-bench.json"
+    json.dumps(report)
+
+
+def test_bench_percentile_is_nearest_rank_on_sorted_samples():
+    assert percentile([], 0.5) == 0.0
+    for q in (0.0, 0.5, 0.99, 1.0):
+        assert percentile([7.0], q) == 7.0
+    samples = [5.0, 1.0, 4.0, 2.0, 3.0]
+    assert percentile(samples, 0.0) == 1.0
+    assert percentile(samples, 0.2) == 1.0
+    assert percentile(samples, 0.21) == 2.0
+    assert percentile(samples, 0.5) == 3.0
+    assert percentile(samples, 0.95) == 5.0
+    assert percentile(samples, 1.0) == 5.0
+    assert samples == [5.0, 1.0, 4.0, 2.0, 3.0]  # input left unsorted
+    # An even count reads the lower middle sample, never an interpolation.
+    assert percentile([4.0, 1.0, 3.0, 2.0], 0.5) == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=40),
+    st.floats(0.0, 1.0),
+)
+def test_bench_percentile_is_the_smallest_sample_covering_q(samples, q):
+    value = percentile(samples, q)
+    assert value in samples
+    covered = sum(1 for sample in samples if sample <= value)
+    below = sum(1 for sample in samples if sample < value)
+    assert covered >= q * len(samples) - 1e-9
+    assert below < max(1, q * len(samples))
 
 
 def test_resilience_stats_publish_into_registry():

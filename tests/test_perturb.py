@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro import adapters
 from repro.cli import main
 from repro.errors import PerturbationError
+from repro.obs.export import BENCH_SCHEMA_VERSION, write_report
 from repro.perturb import (
     FAMILIES,
     FAMILY_NAMES,
@@ -34,7 +35,6 @@ from repro.perturb.bench import (
     evaluate_robustness_gates,
     render_report,
     run_robustness_bench,
-    write_report,
 )
 from repro.perturb.synthdomain import generate_domain, manifest_for
 
@@ -246,7 +246,7 @@ def small_report():
 
 
 def test_report_shape_and_degradation_deltas(small_report):
-    assert small_report["schema_version"] == 1
+    assert small_report["schema_version"] == BENCH_SCHEMA_VERSION
     assert small_report["benchmark"] == "robustness"
     assert small_report["matrix"]["n_cells"] == 3  # baseline + 2 families
     assert set(small_report["axes"]) == {
@@ -321,7 +321,7 @@ def test_cli_smoke_writes_report_and_gates(tmp_path, capsys):
         "--assert-max-degradation", "1.0",
     ])
     assert code == 0
-    assert json.loads(out.read_text())["schema_version"] == 1
+    assert json.loads(out.read_text())["schema_version"] == BENCH_SCHEMA_VERSION
     assert "robustness-bench:" in capsys.readouterr().out
 
 

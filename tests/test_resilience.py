@@ -9,13 +9,16 @@ end-to-end version living in ``chaos-bench``.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 
 import pytest
 
+from repro.cli import main
 from repro.datasets import cordis
 from repro.llm.models import GPT3_PROFILE, make_model
+from repro.obs.export import BENCH_SCHEMA_VERSION
 from repro.resilience import (
     SCHEDULES,
     CircuitBreaker,
@@ -31,6 +34,7 @@ from repro.resilience import (
     RetryPolicy,
     call_with_retry,
 )
+from repro.resilience.chaosbench import evaluate_chaos_gates
 from repro.runtime import ArtifactCache, Runtime, Task, TaskGraph, TaskTimeoutError
 from repro.synthesis import (
     AugmentationPipeline,
@@ -512,3 +516,54 @@ def test_cache_records_swallowed_corruption_kinds(tmp_path):
     assert sum(cache.corruption_kinds.values()) == 1
     (kind,) = cache.corruption_kinds
     assert kind  # a concrete exception class name, e.g. UnpicklingError
+
+
+# -- chaos-bench gates ---------------------------------------------------------
+
+
+def _chaos_report(**overrides):
+    report = {"identical": True, "dead_lettered": 0, "breaker_ended_open": False}
+    report.update(overrides)
+    return report
+
+
+def test_chaos_gates_pass_on_a_clean_report():
+    report = _chaos_report()
+    assert evaluate_chaos_gates(report, assert_identical=True, max_dead_letter=0) == []
+
+
+def test_chaos_gates_not_identical_fails_when_asserted():
+    report = _chaos_report(identical=False)
+    assert evaluate_chaos_gates(report) == []
+    failures = evaluate_chaos_gates(report, assert_identical=True)
+    assert failures == ["chaos output is not byte-identical to the fault-free run"]
+
+
+def test_chaos_gates_dead_letters_over_budget():
+    report = _chaos_report(dead_lettered=3)
+    assert evaluate_chaos_gates(report) == []
+    assert evaluate_chaos_gates(report, max_dead_letter=3) == []
+    assert evaluate_chaos_gates(report, max_dead_letter=2) == [
+        "3 dead-lettered queries exceed the budget of 2"
+    ]
+
+
+def test_chaos_gates_breaker_ended_open_always_fails():
+    assert evaluate_chaos_gates(_chaos_report(breaker_ended_open=True)) == [
+        "a circuit breaker ended the run open"
+    ]
+
+
+def test_chaos_bench_cli_writes_the_envelope_and_exits_on_its_gates(tmp_path, capsys):
+    out = tmp_path / "BENCH_resilience.json"
+    code = main([
+        "chaos-bench", "--skip-tables", "--assert-identical",
+        "--max-dead-letter", "0", "--out", str(out),
+    ])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "identical=True" in captured.out
+    assert "FAIL" not in captured.err
+    report = json.loads(out.read_text())
+    assert report["schema_version"] == BENCH_SCHEMA_VERSION
+    assert report["benchmark"] == "resilience"

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.export import write_report
 from repro.resilience import SYSTEM_CLOCK, FakeClock
 from repro.serving import (
     CachedResult,
@@ -30,7 +31,6 @@ from repro.serving import (
     build_stream,
     render_report,
     run_serve_bench,
-    write_report,
 )
 from repro.spider import build_corpus
 
