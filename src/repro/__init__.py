@@ -18,16 +18,14 @@ See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 regeneration of every table and figure in the paper.
 """
 
-from repro.datasets.records import BenchmarkDomain, NLSQLPair, Split
-from repro.engine import Database, create_database
-from repro.errors import ReproError
-from repro.metrics import ExecutionAccuracy, execution_match
-from repro.nl2sql import SmBoP, T5Seq2Seq, ValueNet
-from repro.runtime import Runtime
-from repro.schema import Column, ColumnType, EnhancedSchema, ForeignKey, Schema, TableDef
-from repro.spider import build_corpus, classify_hardness
-from repro.sql import parse, to_sql
-from repro.synthesis import AugmentationPipeline, PipelineConfig, augment_domain
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.datasets.records import BenchmarkDomain
 
 __version__ = "1.0.0"
 
@@ -51,15 +49,24 @@ def build_domain(name: str, scale: float = 1.0, seed: int | None = None) -> Benc
     return adapter.build(scale=scale, seed=seed)
 
 
-def __getattr__(name):
-    # Lazy: repro.experiments imports this package's submodules, so a direct
-    # top-level import of Suite here would be circular at package init time.
-    if name in ("Suite", "BenchmarkSuite"):
-        from repro.experiments.runner import BenchmarkSuite
-
-        return BenchmarkSuite
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.datasets.records": ("BenchmarkDomain", "NLSQLPair", "Split"),
+        "repro.engine": ("Database", "create_database"),
+        "repro.errors": ("ReproError",),
+        "repro.experiments.runner": ("Suite", "BenchmarkSuite"),
+        "repro.metrics": ("ExecutionAccuracy", "execution_match"),
+        "repro.nl2sql": ("SmBoP", "T5Seq2Seq", "ValueNet"),
+        "repro.runtime": ("Runtime",),
+        "repro.schema": (
+            "Column", "ColumnType", "EnhancedSchema", "ForeignKey", "Schema", "TableDef",
+        ),
+        "repro.spider": ("build_corpus", "classify_hardness"),
+        "repro.sql": ("parse", "to_sql"),
+        "repro.synthesis": ("AugmentationPipeline", "PipelineConfig", "augment_domain"),
+    },
+)
 
 __all__ = [
     "build_domain",

@@ -26,6 +26,7 @@ from repro.checks.lockorder import (
     new_lock,
     uninstall,
 )
+from repro.lazy import lazy_exports
 
 __all__ = [
     "ALL_RULES",
@@ -43,21 +44,11 @@ __all__ = [
     "uninstall",
 ]
 
-_LAZY = {
-    "ALL_RULES": ("repro.checks.runner", "ALL_RULES"),
-    "CheckReport": ("repro.checks.runner", "CheckReport"),
-    "run_checks": ("repro.checks.runner", "run_checks"),
-    "Finding": ("repro.checks.engine", "Finding"),
-    "render_terminal": ("repro.checks.report", "render_terminal"),
-    "render_json": ("repro.checks.report", "render_json"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.checks.runner": ("ALL_RULES", "CheckReport", "run_checks"),
+        "repro.checks.engine": ("Finding",),
+        "repro.checks.report": ("render_terminal", "render_json"),
+    },
+)

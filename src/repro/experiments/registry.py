@@ -32,12 +32,8 @@ class RendererSpec:
     tasks: Callable[[ExperimentConfig], list[str]]
 
 
-def _domains(config: ExperimentConfig) -> list[str]:
-    return [tasks.domain_task(name) for name in tasks.active_domains(config)]
-
-
-def _corpus_and_domains(config: ExperimentConfig) -> list[str]:
-    return [tasks.CORPUS_TASK, *_domains(config)]
+def _table(number: str) -> Callable[[ExperimentConfig], list[str]]:
+    return lambda config: [tasks.table_task(number)]
 
 
 def _sdss_only(config: ExperimentConfig) -> list[str]:
@@ -53,19 +49,19 @@ RENDERERS: dict[str, RendererSpec] = {
     for spec in (
         RendererSpec(
             "1", "table", "repro.experiments.table1", "render_table1",
-            "Table 1 — database complexity", _corpus_and_domains,
+            "Table 1 — database complexity", _table("1"),
         ),
         RendererSpec(
             "2", "table", "repro.experiments.table2", "render_table2",
-            "Table 2 — hardness distribution", _corpus_and_domains,
+            "Table 2 — hardness distribution", _table("2"),
         ),
         RendererSpec(
             "3", "table", "repro.experiments.table3", "render_table3",
-            "Table 3 — SQL-to-NL quality", _corpus_and_domains,
+            "Table 3 — SQL-to-NL quality", _table("3"),
         ),
         RendererSpec(
             "4", "table", "repro.experiments.table4", "render_table4",
-            "Table 4 — silver-standard quality", _domains,
+            "Table 4 — silver-standard quality", _table("4"),
         ),
         RendererSpec(
             "5", "table", "repro.experiments.table5", "render_table5_from_suite",

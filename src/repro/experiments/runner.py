@@ -22,26 +22,34 @@ registered adapter slots in without code changes.
 
 from __future__ import annotations
 
-import random
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.datasets.records import BenchmarkDomain, Split
 from repro.experiments.config import ExperimentConfig, quick
 from repro.experiments.tasks import (
     CORPUS_TASK,
     DOMAIN_REGIMES,
     SPIDER_REGIMES,
     SYNTH_SPIDER_TASK,
-    SYSTEM_CLASSES,
+    SYSTEMS,
     Table5Cell,
     active_domains,
     build_suite_graph,
     domain_task,
     eval_task,
+    limited,
+    salted_rng,
     train_task,
 )
+from repro.lazy import lazy_exports
 from repro.runtime import Runtime
-from repro.spider.corpus import SpiderCorpus
+
+if TYPE_CHECKING:
+    import random
+
+    from repro.datasets.records import BenchmarkDomain, Split
+    from repro.spider.corpus import SpiderCorpus
+
+__getattr__ = lazy_exports(__name__, {"repro.nl2sql": ("SYSTEM_CLASSES",)})
 
 __all__ = [
     "BenchmarkSuite",
@@ -145,7 +153,7 @@ class BenchmarkSuite:
         ``domain_name`` is None and regimes are ``zero`` / ``plus-synth`` /
         ``synth-only``.
         """
-        if system_name not in SYSTEM_CLASSES:
+        if system_name not in SYSTEMS:
             raise KeyError(system_name)
         target = self._check_regime(domain_name, regime)
         return self.artifact(train_task(system_name, target, regime))
@@ -154,7 +162,7 @@ class BenchmarkSuite:
         self, system_name: str, domain_name: str | None, regime: str
     ) -> Table5Cell:
         """One evaluated Table-5 cell (training included, via the graph)."""
-        if system_name not in SYSTEM_CLASSES:
+        if system_name not in SYSTEMS:
             raise KeyError(system_name)
         target = self._check_regime(domain_name, regime)
         return self.artifact(eval_task(system_name, target, regime))
@@ -165,11 +173,10 @@ class BenchmarkSuite:
             pairs = self.corpus.dev.pairs
         else:
             pairs = self.domain(domain_name).dev.pairs
-        limit = self.config.dev_limit
-        return pairs[:limit] if limit else list(pairs)
+        return limited(pairs, self.config.dev_limit)
 
     def rng(self, salt: str) -> random.Random:
-        return random.Random(f"{self.config.seed}:{salt}")
+        return salted_rng(self.config.seed, salt)
 
 
 #: The name the redesigned API is documented under.

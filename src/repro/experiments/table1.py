@@ -11,9 +11,13 @@ the paper exactly) are separated from the scale substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import BenchmarkSuite
+from repro.experiments.tasks import domain_task, table_task
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import BenchmarkSuite
 
 
 @dataclass
@@ -26,9 +30,9 @@ class Table1Row:
     size_mb: float
 
 
-def compute_table1(suite: BenchmarkSuite) -> dict:
+def table1_task(params: dict, inputs: dict) -> dict:
     """All Table-1 rows: MiniSpider aggregate + per-domain nominal/measured."""
-    corpus = suite.corpus
+    corpus = inputs["corpus"]
 
     spider_tables = sum(len(db.schema.tables) for db in corpus.databases.values())
     spider_columns = sum(db.schema.total_columns() for db in corpus.databases.values())
@@ -55,7 +59,8 @@ def compute_table1(suite: BenchmarkSuite) -> dict:
 
     nominal_rows = []
     measured_rows = []
-    for name, domain in suite.domains().items():
+    for name in params["domains"]:
+        domain = inputs[domain_task(name)]
         db = domain.database
         stats = domain.nominal_stats or {}
         nominal_rows.append(
@@ -87,6 +92,11 @@ def compute_table1(suite: BenchmarkSuite) -> dict:
         "nominal": nominal_rows,
         "measured": measured_rows,
     }
+
+
+def compute_table1(suite: BenchmarkSuite) -> dict:
+    """Table 1's rows: the ``table:1`` task's artifact."""
+    return suite.artifact(table_task("1"))
 
 
 def render_table1(suite: BenchmarkSuite) -> str:

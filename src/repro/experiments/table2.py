@@ -10,16 +10,25 @@ is the easiest domain.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.experiments.reporting import percentage, render_table
-from repro.experiments.runner import BenchmarkSuite
+from repro.experiments.tasks import domain_task, table_task
 from repro.spider.hardness import HARDNESS_LEVELS
 
+if TYPE_CHECKING:
+    from repro.experiments.runner import BenchmarkSuite
 
-def compute_table2(suite: BenchmarkSuite) -> list[dict]:
-    """One dict per split with counts per hardness level."""
+
+def table2_task(params: dict, inputs: dict) -> list[dict]:
+    """One dict per split with counts per hardness level.
+
+    Hardness is classified here rather than in the tasks that build the
+    splits: every training task waits on the domain builds.
+    """
     rows = []
-    for name in suite.domain_names():
-        domain = suite.domain(name)
+    for name in params["domains"]:
+        domain = inputs[domain_task(name)]
         for split in (domain.seed, domain.dev, domain.synth):
             if split is None:
                 continue
@@ -31,10 +40,16 @@ def compute_table2(suite: BenchmarkSuite) -> list[dict]:
                     **counts,
                 }
             )
-    for split in (suite.corpus.train, suite.corpus.dev):
+    corpus = inputs["corpus"]
+    for split in (corpus.train, corpus.dev):
         counts = split.hardness_counts()
         rows.append({"dataset": split.name, "total": len(split), **counts})
     return rows
+
+
+def compute_table2(suite: BenchmarkSuite) -> list[dict]:
+    """Table 2's rows: the ``table:2`` task's artifact."""
+    return suite.artifact(table_task("2"))
 
 
 def render_table2(suite: BenchmarkSuite) -> str:

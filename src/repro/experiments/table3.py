@@ -15,19 +15,14 @@ SDSS is the hardest domain to verbalise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
-from repro.experiments.runner import BenchmarkSuite
 from repro.experiments.reporting import render_table
-from repro.llm.models import (
-    ALL_PROFILES,
-    GPT3_PROFILE,
-    GPT3_ZERO_PROFILE,
-    make_model,
-)
-from repro.metrics.bleu import corpus_bleu
-from repro.metrics.embedding_score import embedding_score
-from repro.metrics.equivalence import EquivalenceJudge
+from repro.experiments.tasks import domain_task, limited, salted_rng, table_task
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import BenchmarkSuite
 
 
 @dataclass
@@ -38,17 +33,32 @@ class Table3Row:
     expert_rate: float
 
 
-def compute_table3(suite: BenchmarkSuite) -> list[Table3Row]:
+def table3_task(params: dict, inputs: dict) -> dict:
+    """Both parts of Table 3: ``"models"``, the four models' rows on a
+    MiniSpider dev sample, and ``"domains"``, the §4.1.2 expert rate of each
+    domain (name -> rate)."""
+    return {
+        "models": _model_rows(params, inputs["corpus"]),
+        "domains": _domain_expert_rates(params, inputs),
+    }
+
+
+def _model_rows(params: dict, corpus) -> list[Table3Row]:
     """The Spider-dev section of Table 3 (four models, three metrics)."""
-    corpus = suite.corpus
-    rng = suite.rng("table3-sample")
+    from repro.llm.models import ALL_PROFILES, GPT3_ZERO_PROFILE, make_model
+    from repro.metrics.bleu import corpus_bleu
+    from repro.metrics.embedding_score import embedding_score
+    from repro.metrics.equivalence import EquivalenceJudge
+
+    seed = params["seed"]
+    rng = salted_rng(seed, "table3-sample")
     sample = corpus.dev.pairs[:]
     rng.shuffle(sample)
-    sample = sample[: suite.config.table3_sample]
+    sample = sample[: params["table3_sample"]]
 
     rows = []
     for profile in ALL_PROFILES:
-        model = make_model(profile, seed=suite.config.seed)
+        model = make_model(profile, seed=seed)
         if profile is not GPT3_ZERO_PROFILE:
             # The paper fine-tunes GPT-2/GPT-3/T5 on Spider training pairs.
             for db_id in corpus.databases:
@@ -65,7 +75,7 @@ def compute_table3(suite: BenchmarkSuite) -> list[Table3Row]:
             refs = [pair.question]
             # Extra canonical paraphrases emulate Spider's multi-reference NL.
             realizer = corpus.realizer_for(pair.db_id)
-            ref_rng = suite.rng(f"table3-ref:{pair.sql}")
+            ref_rng = salted_rng(seed, f"table3-ref:{pair.sql}")
             try:
                 refs.extend(realizer.candidates(pair.sql, 2, ref_rng))
             except ReproError:
@@ -86,22 +96,35 @@ def compute_table3(suite: BenchmarkSuite) -> list[Table3Row]:
     return rows
 
 
-def compute_domain_expert_rates(suite: BenchmarkSuite) -> dict[str, float]:
+def _domain_expert_rates(params: dict, inputs: dict) -> dict[str, float]:
     """§4.1.2: expert rates of domain-fine-tuned GPT-3 on each domain's dev."""
+    from repro.llm.models import GPT3_PROFILE, make_model
+    from repro.metrics.equivalence import EquivalenceJudge
+
     rates = {}
-    for name in suite.domain_names():
-        domain = suite.domain(name)
-        model = make_model(GPT3_PROFILE, seed=suite.config.seed)
+    for name in params["domains"]:
+        domain = inputs[domain_task(name)]
+        model = make_model(GPT3_PROFILE, seed=params["seed"])
         model.fine_tune(domain.seed.pairs, domain=name, lexicon=domain.lexicon)
         judge = EquivalenceJudge(domain.enhanced, lexicon=domain.lexicon)
         correct = 0
-        pairs = suite.dev_pairs(name)
+        pairs = limited(domain.dev.pairs, params["dev_limit"])
         for pair in pairs:
             hypothesis = model.translate_best(pair.sql, domain.enhanced, domain=name)
             if judge.judge(hypothesis, pair.sql).equivalent:
                 correct += 1
         rates[name] = correct / max(len(pairs), 1)
     return rates
+
+
+def compute_table3(suite: BenchmarkSuite) -> list[Table3Row]:
+    """The Spider-dev section of Table 3, from the ``table:3`` task."""
+    return suite.artifact(table_task("3"))["models"]
+
+
+def compute_domain_expert_rates(suite: BenchmarkSuite) -> dict[str, float]:
+    """§4.1.2's per-domain expert rates, from the ``table:3`` task."""
+    return suite.artifact(table_task("3"))["domains"]
 
 
 def render_table3(suite: BenchmarkSuite) -> str:

@@ -10,10 +10,13 @@ data, which is the property the training experiments rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import BenchmarkSuite
-from repro.metrics.equivalence import EquivalenceJudge
+from repro.experiments.tasks import domain_task, salted_rng, table_task
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import BenchmarkSuite
 
 
 @dataclass
@@ -24,13 +27,16 @@ class Table4Row:
     semantic_equivalence: float
 
 
-def compute_table4(suite: BenchmarkSuite) -> list[Table4Row]:
+def table4_task(params: dict, inputs: dict) -> list[Table4Row]:
+    """Judge a hardness-stratified sample of each domain's Synth split."""
+    from repro.metrics.equivalence import EquivalenceJudge
+
     rows = []
-    for name in suite.domain_names():
-        domain = suite.domain(name)
+    for name in params["domains"]:
+        domain = inputs[domain_task(name)]
         synth = domain.synth
-        rng = suite.rng(f"table4:{name}")
-        sample = synth.sample_stratified(suite.config.table4_sample, rng)
+        rng = salted_rng(params["seed"], f"table4:{name}")
+        sample = synth.sample_stratified(params["table4_sample"], rng)
         judge = EquivalenceJudge(domain.enhanced, lexicon=domain.lexicon)
         rate = judge.judge_rate([(p.question, p.sql) for p in sample])
         rows.append(
@@ -42,6 +48,11 @@ def compute_table4(suite: BenchmarkSuite) -> list[Table4Row]:
             )
         )
     return rows
+
+
+def compute_table4(suite: BenchmarkSuite) -> list[Table4Row]:
+    """Table 4's rows: the ``table:4`` task's artifact."""
+    return suite.artifact(table_task("4"))
 
 
 def render_table4(suite: BenchmarkSuite) -> str:

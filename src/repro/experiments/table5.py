@@ -17,16 +17,20 @@ Expected shapes (the paper's findings):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.experiments.reporting import render_table
-from repro.experiments.runner import SYSTEM_CLASSES, BenchmarkSuite
 from repro.experiments.tasks import (
     DOMAIN_REGIMES,
     SPIDER_REGIMES,
+    SYSTEMS,
     Table5Cell,
     eval_grid,
 )
 from repro.metrics.triage import format_triage, merge_triage
+
+if TYPE_CHECKING:
+    from repro.experiments.runner import BenchmarkSuite
 
 __all__ = [
     "DOMAIN_REGIMES",
@@ -71,7 +75,7 @@ def evaluate_cell(
 
 def compute_table5(
     suite: BenchmarkSuite,
-    systems: tuple[str, ...] = tuple(SYSTEM_CLASSES),
+    systems: tuple[str, ...] = SYSTEMS,
     domains: tuple[str, ...] | None = None,
     include_spider_control: bool = True,
 ) -> Table5Result:
@@ -95,7 +99,7 @@ _REGIME_LABELS = {
 }
 
 
-def render_table5(result: Table5Result, systems=tuple(SYSTEM_CLASSES)) -> str:
+def render_table5(result: Table5Result, systems=SYSTEMS) -> str:
     rows = []
     domains = []
     for cell in result.cells:

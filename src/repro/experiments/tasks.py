@@ -6,15 +6,25 @@ refer to tasks through the helpers here (``domain_task("sdss")``,
 ``eval_task("smbop", "cordis", "both")``, …).
 
 Task bodies are module-level ``fn(params, inputs)`` functions so the
-scheduler can ship them to worker processes by name.  Each body is pure in
-its params and dependency artifacts; stochastic bodies receive a derived
-per-task seed in ``params["seed"]``.
+scheduler can ship them to worker processes by name; Tables 1-4 keep theirs
+in their own modules (``repro.experiments.table1:table1_task``, …).  Each
+body is pure in its params and dependency artifacts; stochastic bodies
+receive a derived per-task seed in ``params["seed"]``, or the config seed
+where they draw from :func:`salted_rng` as :meth:`Suite.rng` does.
+
+A body imports what it runs inside its own scope, so building the graph, or
+rendering tables from cached artifacts, loads neither numpy nor the
+systems, the simulated LLMs, the pipeline or the analyzer.
 
 Graph shape (``build_suite_graph``)::
 
     corpus ──────────────┬─> synth-spider:<db> (×11) ─> synth-spider
                          ├─> train:<sys>:spider:<regime> ─> eval:…
-    domain:<name> (×3) ──┴─> train:<sys>:<domain>:<regime> ─> eval:…
+                         ├─> table:1, table:2, table:3
+    domain:<name> (×3) ──┼─> table:1, table:2, table:3, table:4
+                         └─> train:<sys>:<domain>:<regime> ─> eval:…
+
+A ``table:N`` artifact is Table N's rows, so a warm render only formats.
 """
 
 from __future__ import annotations
@@ -25,23 +35,17 @@ from dataclasses import dataclass, field
 from repro import adapters
 from repro.datasets.records import BenchmarkDomain, Split
 from repro.experiments.config import ExperimentConfig
-from repro.llm.models import GPT3_PROFILE, make_model
-from repro.metrics.execution import ExecutionAccuracy
-from repro.nl2sql import SmBoP, T5Seq2Seq, ValueNet
+from repro.lazy import lazy_exports
 from repro.obs import get_tracer
-from repro.resilience.faults import FaultPlan
-from repro.resilience.flaky import FlakyModel
-from repro.resilience.retry import RetryPolicy
 from repro.runtime import Task, TaskGraph, derive_seed
 from repro.spider.corpus import SpiderCorpus, build_corpus
 from repro.spider.domains import DOMAIN_BUILDERS as SPIDER_DB_BUILDERS
-from repro.synthesis import AugmentationPipeline, PipelineConfig, TranslationConfig
 
-SYSTEM_CLASSES = {
-    "valuenet": ValueNet,
-    "t5-large": T5Seq2Seq,
-    "smbop": SmBoP,
-}
+#: The Table-5 systems by name, in the table's column order.
+#: ``SYSTEM_CLASSES`` (name -> class) loads ``repro.nl2sql`` on first use.
+SYSTEMS = ("valuenet", "t5-large", "smbop")
+
+__getattr__ = lazy_exports(__name__, {"repro.nl2sql": ("SYSTEM_CLASSES",)})
 
 #: The paper's three domains — the default of ``ExperimentConfig.domains``.
 #: Domain *resolution* goes through :mod:`repro.adapters`; this tuple only
@@ -96,13 +100,29 @@ def eval_task(system: str, target: str, regime: str) -> str:
     return f"eval:{system}:{target}:{regime}"
 
 
+def table_task(number: str) -> str:
+    """Tables 1-4 (``"1"`` … ``"4"``); Table 5 is its ``eval:`` cells."""
+    return f"table:{number}"
+
+
+def salted_rng(seed: int, salt: str) -> random.Random:
+    """The named random stream ``salt`` of config seed ``seed``
+    (:meth:`Suite.rng`, and the table tasks that draw as it does)."""
+    return random.Random(f"{seed}:{salt}")
+
+
+def limited(pairs, limit: int | None) -> list:
+    """The first ``limit`` pairs; all of them when ``limit`` is None or 0."""
+    return pairs[:limit] if limit else list(pairs)
+
+
 def eval_grid(
     systems: tuple[str, ...] | None = None,
     domains: tuple[str, ...] | None = None,
     include_spider_control: bool = True,
 ) -> list[str]:
     """Table-5 eval task names in the table's canonical cell order."""
-    systems = tuple(systems) if systems is not None else tuple(SYSTEM_CLASSES)
+    systems = tuple(systems) if systems is not None else SYSTEMS
     domains = tuple(domains) if domains is not None else DEFAULT_DOMAINS
     names = [
         eval_task(system, domain, regime)
@@ -130,6 +150,12 @@ def _pipeline_resilience(params: dict, seed: int):
     policy.  Both are JSON specs (they feed the content hash) and absent
     entirely in fault-free graphs, keeping those cache keys unchanged.
     """
+    from repro.llm.models import GPT3_PROFILE, make_model
+    from repro.resilience.faults import FaultPlan
+    from repro.resilience.flaky import FlakyModel
+    from repro.resilience.retry import RetryPolicy
+    from repro.synthesis import TranslationConfig
+
     model = make_model(GPT3_PROFILE, seed=seed)
     if params.get("fault") is not None:
         model = FlakyModel(model, FaultPlan.from_spec(params["fault"]))
@@ -149,6 +175,8 @@ def build_domain_task(params: dict, inputs: dict) -> BenchmarkDomain:
     boundary — and so the content hash distinguishes two adapters that share
     a domain name.
     """
+    from repro.synthesis import AugmentationPipeline, PipelineConfig
+
     seed = params["seed"]
     builder = adapters.builder_from_spec(params["adapter"])
     domain = builder(scale=params["scale"])
@@ -175,6 +203,8 @@ def corpus_task(params: dict, inputs: dict) -> SpiderCorpus:
 def synth_spider_db(params: dict, inputs: dict) -> Split:
     """The pipeline applied to one MiniSpider database, seeded with that
     database's own training pairs (the 'Synth Spider' control of Table 5)."""
+    from repro.synthesis import AugmentationPipeline, PipelineConfig
+
     corpus: SpiderCorpus = inputs["corpus"]
     db_id = params["db_id"]
     seed = params["seed"]
@@ -205,6 +235,8 @@ def merge_synth_spider(params: dict, inputs: dict) -> Split:
 
 def train_system_task(params: dict, inputs: dict):
     """Train one system under one Table-5 regime (see ``Suite.train_regime``)."""
+    from repro.nl2sql import SYSTEM_CLASSES
+
     system = SYSTEM_CLASSES[params["system"]]()
     corpus: SpiderCorpus = inputs["corpus"]
     for db_id, database in corpus.databases.items():
@@ -236,17 +268,18 @@ def eval_cell_task(params: dict, inputs: dict) -> Table5Cell:
     serving cannot drift apart (batched output is byte-identical to
     per-question ``predict``).
     """
+    from repro.metrics.execution import ExecutionAccuracy
+
     system = inputs["system"]
     domain_name = params["domain"]
-    dev_limit = params["dev_limit"]
     accuracy = ExecutionAccuracy()
     tracer = get_tracer()
     if domain_name is None:
         corpus: SpiderCorpus = inputs["corpus"]
-        pairs = corpus.dev.pairs[:dev_limit] if dev_limit else list(corpus.dev.pairs)
+        pairs = limited(corpus.dev.pairs, params["dev_limit"])
     else:
         domain: BenchmarkDomain = inputs["domain"]
-        pairs = domain.dev.pairs[:dev_limit] if dev_limit else list(domain.dev.pairs)
+        pairs = limited(domain.dev.pairs, params["dev_limit"])
     with tracer.span("eval.predict", n_pairs=len(pairs)):
         predictions = list(system.predict_all(pairs))
     with tracer.span("eval.score", n_pairs=len(pairs)):
@@ -351,7 +384,7 @@ def build_suite_graph(
         )
     )
 
-    for system in SYSTEM_CLASSES:
+    for system in SYSTEMS:
         for name in domains:
             for regime in DOMAIN_REGIMES:
                 tname = train_task(system, name, regime)
@@ -402,4 +435,27 @@ def build_suite_graph(
                     deps=(("system", tname), ("corpus", CORPUS_TASK)),
                 )
             )
+
+    # Tables 1-4 carry the config fields they read.  Those include the
+    # ordered domain names: the content hash sorts dep roles, and a table
+    # lists its domains in config order.
+    names = list(domains)
+    domain_deps = tuple((domain_task(name), domain_task(name)) for name in names)
+    corpus_deps = (("corpus", CORPUS_TASK),) + domain_deps
+    table3 = {"seed": base, "table3_sample": config.table3_sample, "dev_limit": config.dev_limit}
+    table4 = {"seed": base, "table4_sample": config.table4_sample}
+    for number, params, deps in (
+        ("1", {}, corpus_deps),
+        ("2", {}, corpus_deps),
+        ("3", table3, corpus_deps),
+        ("4", table4, domain_deps),
+    ):
+        graph.add(
+            Task(
+                table_task(number),
+                f"repro.experiments.table{number}:table{number}_task",
+                {"domains": names, **params},
+                deps=deps,
+            )
+        )
     return graph

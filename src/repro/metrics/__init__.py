@@ -1,20 +1,25 @@
 """Evaluation metrics: BLEU, embedding similarity, execution accuracy,
 component exact-match and the semantic-equivalence judge."""
 
-from repro.metrics.bleu import BleuScore, corpus_bleu, sentence_bleu
-from repro.metrics.embedding_score import embedding_score, pairwise_similarity
-from repro.metrics.equivalence import Anchor, EquivalenceJudge, Verdict
-from repro.metrics.exact_match import exact_match, query_signature
-from repro.metrics.execution import (
-    ExecutionAccuracy,
-    execution_match,
-    results_match,
-)
-from repro.metrics.triage import (
-    TRIAGE_CATEGORIES,
-    format_triage,
-    merge_triage,
-    triage_prediction,
+from repro.lazy import lazy_exports
+
+# These two names are also submodules' names.  Loading a submodule binds it
+# as a package attribute over a lazy name, so they import now.
+from repro.metrics.embedding_score import embedding_score
+from repro.metrics.exact_match import exact_match
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.metrics.bleu": ("BleuScore", "corpus_bleu", "sentence_bleu"),
+        "repro.metrics.embedding_score": ("pairwise_similarity",),
+        "repro.metrics.equivalence": ("Anchor", "EquivalenceJudge", "Verdict"),
+        "repro.metrics.exact_match": ("query_signature",),
+        "repro.metrics.execution": ("ExecutionAccuracy", "execution_match", "results_match"),
+        "repro.metrics.triage": (
+            "TRIAGE_CATEGORIES", "format_triage", "merge_triage", "triage_prediction",
+        ),
+    },
 )
 
 __all__ = [

@@ -9,8 +9,10 @@ multi-reference Spider data is scored.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.embeddings import SentenceEmbedder, cosine_similarity
+if TYPE_CHECKING:
+    from repro.embeddings import SentenceEmbedder
 
 
 def embedding_score(
@@ -23,6 +25,8 @@ def embedding_score(
         raise ValueError("hypotheses and references must be parallel")
     if not hypotheses:
         return 0.0
+    from repro.embeddings import SentenceEmbedder, cosine_similarity
+
     if embedder is None:
         embedder = SentenceEmbedder()
     total = 0.0
@@ -37,6 +41,8 @@ def embedding_score(
 
 def pairwise_similarity(a: str, b: str, embedder: SentenceEmbedder | None = None) -> float:
     """Cosine similarity of two sentences' embeddings."""
+    from repro.embeddings import SentenceEmbedder, cosine_similarity
+
     if embedder is None:
         embedder = SentenceEmbedder()
     return cosine_similarity(embedder.embed(a), embedder.embed(b))

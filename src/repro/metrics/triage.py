@@ -10,9 +10,11 @@ experiment an automatic error breakdown per system.
 
 from __future__ import annotations
 
-from repro.engine.database import Database
-from repro.schema.enhanced import EnhancedSchema
-from repro.analysis import Severity, analyze
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine.database import Database
+    from repro.schema.enhanced import EnhancedSchema
 
 #: Triage buckets in priority order — a failure lands in the first that fits.
 TRIAGE_CATEGORIES = (
@@ -44,6 +46,7 @@ def triage_prediction(
     """Classify one *failed* prediction into a :data:`TRIAGE_CATEGORIES` bucket."""
     if predicted_sql is None or not predicted_sql.strip():
         return "missing"
+    from repro.analysis import Severity, analyze
 
     diagnostics = analyze(predicted_sql, database.schema, enhanced)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]

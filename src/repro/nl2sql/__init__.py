@@ -10,6 +10,8 @@ from repro.nl2sql.templates_store import TemplateStore
 from repro.nl2sql.valuenet import ValueNet
 
 ALL_SYSTEMS = (ValueNet, T5Seq2Seq, SmBoP)
+#: The systems by name (``repro.experiments.tasks.SYSTEMS`` lists the names).
+SYSTEM_CLASSES = {system.name: system for system in ALL_SYSTEMS}
 
 __all__ = [
     "NLToSQLSystem",
@@ -18,6 +20,7 @@ __all__ = [
     "T5Seq2Seq",
     "SmBoP",
     "ALL_SYSTEMS",
+    "SYSTEM_CLASSES",
     "SchemaLinker",
     "Links",
     "ValueLink",

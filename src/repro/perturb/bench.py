@@ -9,15 +9,18 @@ accuracy, positive = the perturbation hurt).
 The report (``benchmarks/BENCH_robustness.json``) is
 deliberately free of wall-clock and cache-statistics noise: for a fixed
 seed it is **byte-identical** across worker counts and across warm/cold
-caches — the property the CI smoke and the determinism suite assert.  Run
-statistics live in the :class:`~repro.runtime.RunReport` (``--timings``).
+caches — the property the CI smoke and the determinism suite assert — in
+every key but ``"faults"``.  Run statistics live in the
+:class:`~repro.runtime.RunReport` (``--timings``).
 
 Chaos composition: ``fault_schedule`` threads a named
 :class:`~repro.resilience.faults.FaultPlan` through the same runtime, so
 worker crashes and torn cache writes strike the very tasks that build and
 evaluate perturbed domains; the recovered run must still produce the
 byte-identical report (the resilience layer's contract), with the injection
-and recovery counts surfaced under ``"faults"``.
+and recovery counts surfaced under ``"faults"``.  Those counts are this
+run's: faults strike only tasks the run computes and writes, so a run over
+a warm cache counts fewer than a cold one.
 """
 
 from __future__ import annotations

@@ -18,28 +18,35 @@ and a Table-5 slice under a named schedule and asserts that with
 transient-only faults every output is byte-identical to the fault-free run.
 """
 
-from repro.resilience.breaker import CircuitBreaker, CircuitOpenError
-from repro.resilience.clock import SYSTEM_CLOCK, FakeClock, SystemClock
-from repro.resilience.deadletter import DeadLetter, ResilienceStats
-from repro.resilience.faults import (
-    ALL_KINDS,
-    CACHE_KINDS,
-    PERMANENT_KINDS,
-    SCHEDULES,
-    TRANSIENT_ERRORS,
-    TRANSIENT_KINDS,
-    FaultError,
-    FaultPlan,
-    FaultRule,
-    MalformedCompletionError,
-    PermanentFault,
-    RateLimitFault,
-    TimeoutFault,
-    WorkerCrashFault,
-    raise_fault,
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.resilience.breaker": ("CircuitBreaker", "CircuitOpenError"),
+        "repro.resilience.clock": ("SYSTEM_CLOCK", "FakeClock", "SystemClock"),
+        "repro.resilience.deadletter": ("DeadLetter", "ResilienceStats"),
+        "repro.resilience.faults": (
+            "ALL_KINDS",
+            "CACHE_KINDS",
+            "PERMANENT_KINDS",
+            "SCHEDULES",
+            "TRANSIENT_ERRORS",
+            "TRANSIENT_KINDS",
+            "FaultError",
+            "FaultPlan",
+            "FaultRule",
+            "MalformedCompletionError",
+            "PermanentFault",
+            "RateLimitFault",
+            "TimeoutFault",
+            "WorkerCrashFault",
+            "raise_fault",
+        ),
+        "repro.resilience.flaky": ("FlakyModel",),
+        "repro.resilience.retry": ("RetryOutcome", "RetryPolicy", "call_with_retry"),
+    },
 )
-from repro.resilience.flaky import FlakyModel
-from repro.resilience.retry import RetryOutcome, RetryPolicy, call_with_retry
 
 __all__ = [
     "ALL_KINDS",

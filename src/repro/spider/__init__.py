@@ -1,9 +1,18 @@
 """MiniSpider: the Spider-benchmark stand-in (hardness, domains, corpus)."""
 
-from repro.spider.corpus import SpiderCorpus, build_corpus
-from repro.spider.domains import DOMAIN_BUILDERS
-from repro.spider.hardness import HARDNESS_LEVELS, classify_hardness, hardness_distribution
-from repro.spider.sampler import QuerySampler
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.spider.corpus": ("SpiderCorpus", "build_corpus"),
+        "repro.spider.domains": ("DOMAIN_BUILDERS",),
+        "repro.spider.hardness": (
+            "HARDNESS_LEVELS", "classify_hardness", "hardness_distribution",
+        ),
+        "repro.spider.sampler": ("QuerySampler",),
+    },
+)
 
 __all__ = [
     "SpiderCorpus",

@@ -35,7 +35,10 @@ def test_config_domains_drive_suite_domain_names():
 
 
 def test_system_registry_names():
+    from repro.experiments.tasks import SYSTEMS
+
     assert set(SYSTEM_CLASSES) == {"valuenet", "t5-large", "smbop"}
+    assert tuple(SYSTEM_CLASSES) == SYSTEMS
     for name, cls in SYSTEM_CLASSES.items():
         assert cls.name == name
 

@@ -145,6 +145,22 @@ def test_warm_cache_rerun_recomputes_nothing_and_matches(tmp_path):
     assert warm_rr.computed == 0
 
 
+def test_fault_counts_are_the_only_key_a_warm_chaos_run_changes(tmp_path):
+    """A chaos run counts the faults that struck this run's computations, so
+    over a warm cache only the ``faults`` block may differ from a cold run."""
+    kwargs = dict(
+        domains=("cordis",), families=("paraphrase",), severities=(1,),
+        scale=0.15, dev_limit=4, cache_dir=str(tmp_path),
+        fault_schedule="transient-small",
+    )
+    cold, cold_rr = run_robustness_bench(**kwargs)
+    warm, warm_rr = run_robustness_bench(**kwargs)
+    assert warm_rr.computed < cold_rr.computed
+    cold_faults, warm_faults = cold.pop("faults"), warm.pop("faults")
+    assert cold_faults["injected"] != warm_faults["injected"]
+    assert json.dumps(cold, sort_keys=True) == json.dumps(warm, sort_keys=True)
+
+
 # -- family semantics ----------------------------------------------------------
 
 

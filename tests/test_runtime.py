@@ -292,52 +292,54 @@ TINY = ExperimentConfig(
 )
 
 
-@pytest.fixture(scope="module")
-def warm_cache_dir(tmp_path_factory):
-    """A cache warmed by a sequential Table-2 + Table-5 subset run."""
-    cache_dir = tmp_path_factory.mktemp("repro-cache")
-    suite = Suite.from_config(TINY, runtime=Runtime(workers=1, cache_dir=str(cache_dir)))
-    from repro.experiments.table2 import render_table2
+def _render_tables(suite) -> dict[str, str]:
+    """Tables 1-4 and a one-system, one-domain Table 5, rendered."""
+    from repro.experiments import registry
     from repro.experiments.table5 import compute_table5, render_table5
 
-    table2 = render_table2(suite)
-    table5 = render_table5(
+    texts = {number: registry.render(number, suite) for number in ("1", "2", "3", "4")}
+    texts["5"] = render_table5(
         compute_table5(
             suite, systems=("valuenet",), domains=("cordis",), include_spider_control=False
         ),
         systems=("valuenet",),
     )
-    return cache_dir, table2, table5
+    return texts
+
+
+@pytest.fixture(scope="module")
+def warm_cache_dir(tmp_path_factory):
+    """A cache warmed by a sequential run of Tables 1-4 and a Table-5 subset."""
+    cache_dir = tmp_path_factory.mktemp("repro-cache")
+    suite = Suite.from_config(TINY, runtime=Runtime(workers=1, cache_dir=str(cache_dir)))
+    return cache_dir, _render_tables(suite)
 
 
 def test_parallel_matches_sequential_tables(warm_cache_dir):
-    _, table2_seq, table5_seq = warm_cache_dir
-    suite = Suite.from_config(TINY, runtime=Runtime(workers=4))
-    from repro.experiments.table2 import render_table2
-    from repro.experiments.table5 import compute_table5, render_table5
+    _, sequential = warm_cache_dir
+    from repro.experiments.tasks import eval_grid, table_task
 
-    assert render_table2(suite) == table2_seq
-    table5_par = render_table5(
-        compute_table5(
-            suite, systems=("valuenet",), domains=("cordis",), include_spider_control=False
-        ),
-        systems=("valuenet",),
+    suite = Suite.from_config(TINY, runtime=Runtime(workers=4))
+    # One batch, so the table tasks run in pool workers next to training.
+    suite.ensure(
+        [table_task(number) for number in ("1", "2", "3", "4")]
+        + eval_grid(("valuenet",), ("cordis",), include_spider_control=False)
     )
-    assert table5_par == table5_seq
+    assert _render_tables(suite) == sequential
     assert suite.runtime.report.computed > 0
 
 
 def test_second_run_is_fully_cached(warm_cache_dir):
-    cache_dir, table2_seq, _ = warm_cache_dir
+    cache_dir, sequential = warm_cache_dir
     suite = Suite.from_config(TINY, runtime=Runtime(workers=2, cache_dir=str(cache_dir)))
     from repro.experiments.table2 import render_table2
 
-    assert render_table2(suite) == table2_seq
+    assert render_table2(suite) == sequential["2"]
     assert suite.runtime.report.all_cached()
 
 
 def test_config_change_invalidates_cache(warm_cache_dir):
-    cache_dir, _, _ = warm_cache_dir
+    cache_dir, _ = warm_cache_dir
     changed = ExperimentConfig(
         name=TINY.name,
         seed=TINY.seed + 1,  # any config knob: the seed feeds every task hash
@@ -355,15 +357,23 @@ def test_config_change_invalidates_cache(warm_cache_dir):
 
 
 def test_corrupted_cache_entry_recovers(warm_cache_dir):
-    cache_dir, table2_seq, _ = warm_cache_dir
+    cache_dir, sequential = warm_cache_dir
     suite = Suite.from_config(TINY, runtime=Runtime(workers=1, cache_dir=str(cache_dir)))
     key = suite.graph.content_hash("domain:cordis")
     path = suite.runtime.cache.path_for(key)
     assert path.exists()
     path.write_bytes(b"\x80garbage")
-    from repro.experiments.table2 import render_table2
+    from repro.experiments.table2 import compute_table2, render_table2
 
-    assert render_table2(suite) == table2_seq  # recomputed, not crashed
+    # Table 2 renders from its own cached task, so read the domain as the
+    # eval cells and the serving loader do.
+    domain = suite.domain("cordis")  # recomputed, not crashed
+    assert render_table2(suite) == sequential["2"]
+    rows = {row["dataset"]: row for row in compute_table2(suite)}
+    for split in (domain.seed, domain.dev, domain.synth):
+        assert rows[split.name] == {
+            "dataset": split.name, "total": len(split), **split.hardness_counts()
+        }
     assert suite.runtime.report.computed >= 1
     assert suite.runtime.cache.corrupt == 1
     # The entry was rewritten and is healthy again.
@@ -375,6 +385,105 @@ def test_suite_artifacts_are_memoized_per_task(warm_cache_dir):
     suite = Suite.from_config(TINY, runtime=Runtime(workers=1))
     assert suite.domain("sdss") is suite.domain("sdss")
     assert suite.corpus is suite.corpus
+
+
+def test_table_task_keys_follow_the_config_fields_they_read():
+    import dataclasses
+
+    from repro.experiments.tasks import build_suite_graph, table_task
+
+    def keys(**changes):
+        graph = build_suite_graph(dataclasses.replace(TINY, **changes))
+        return {number: graph.content_hash(table_task(number)) for number in "1234"}
+
+    base = keys()
+
+    def changed(**changes):
+        other = keys(**changes)
+        return {number for number in base if other[number] != base[number]}
+
+    assert changed(table3_sample=TINY.table3_sample + 1) == {"3"}
+    assert changed(table4_sample=TINY.table4_sample + 1) == {"4"}
+    assert changed(dev_limit=TINY.dev_limit + 1) == {"3"}
+    # The seed also reseeds the corpus and domains, so every table moves.
+    assert {"3", "4"} <= changed(seed=TINY.seed + 1)
+    assert changed(domains=("cordis", "sdss")) == set("1234")
+    # A table lists its domains in config order, so the order is in the key.
+    assert changed(domains=("sdss", "cordis", "oncomx")) == set("1234")
+
+    graph = build_suite_graph(TINY)
+    params = {number: set(graph.task(table_task(number)).params) for number in "1234"}
+    assert params == {
+        "1": {"domains"},
+        "2": {"domains"},
+        "3": {"domains", "seed", "table3_sample", "dev_limit"},
+        "4": {"domains", "seed", "table4_sample"},
+    }
+
+
+#: Renders every table from the cache in argv[1] for the config whose fields
+#: argv[2] holds (JSON); prints the texts, the heavy packages it loaded and
+#: how each task was satisfied.
+_WARM_RENDER = """
+import json
+import sys
+
+from repro.experiments import registry
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import Suite
+from repro.runtime import Runtime
+
+fields = json.loads(sys.argv[2])
+config = ExperimentConfig(**{**fields, "domains": tuple(fields["domains"])})
+suite = Suite.from_config(config, runtime=Runtime(workers=2, cache_dir=sys.argv[1]))
+tables = registry.available(kind="table")
+suite.ensure([task for n in tables for task in registry.required_tasks(n, config)])
+texts = {n: registry.render(n, suite) for n in tables}
+heavy = ("numpy", "repro.nl2sql", "repro.synthesis", "repro.llm", "repro.analysis")
+print(json.dumps({
+    "texts": texts,
+    "loaded": [name for name in heavy if name in sys.modules],
+    "records": [[r.name, r.status] for r in suite.runtime.report.records],
+}))
+"""
+
+
+def test_warm_render_loads_only_table_and_eval_artifacts(tmp_path):
+    """A warm ``tables 1-5`` formats cached rows: it loads no corpus, domain
+    or trained system, and imports none of the packages that compute them."""
+    import dataclasses
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.experiments import registry
+
+    config = dataclasses.replace(TINY, domains=("cordis",))
+    suite = Suite.from_config(config, runtime=Runtime(workers=2, cache_dir=str(tmp_path)))
+    tables = registry.available(kind="table")
+    suite.ensure([task for n in tables for task in registry.required_tasks(n, config)])
+    cold = {n: registry.render(n, suite) for n in tables}
+
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", _WARM_RENDER,
+            str(tmp_path), json.dumps(dataclasses.asdict(config)),
+        ],
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env={"PYTHONPATH": str(root / "src"), "PATH": os.environ.get("PATH", "/usr/bin:/bin")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    warm = json.loads(proc.stdout)
+    assert warm["texts"] == cold
+    assert warm["loaded"] == []
+    assert warm["records"]
+    for name, status in warm["records"]:
+        assert status == "hit", name
+        assert name.startswith(("table:", "eval:")), name
 
 
 def test_deprecated_entry_points_are_gone():
