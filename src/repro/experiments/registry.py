@@ -110,10 +110,12 @@ def serving_tasks(
 ) -> list[str]:
     """Graph task names the serving layer warm-starts from.
 
-    Per served domain: the domain artifact (database + dev split) and the
-    trained system under ``regime``.  With a cache-backed runtime these all
-    resolve without retraining.
+    Per served domain: the trained system under ``regime`` and what
+    attaching it reads (:func:`tasks.attach_tasks`: the domain artifact
+    and the regime's lexicons there).  With a cache-backed runtime these
+    all resolve without retraining.
     """
-    names = [tasks.domain_task(name) for name in domains]
-    names += [tasks.train_task(system, name, regime) for name in domains]
+    names = [tasks.train_task(system, name, regime) for name in domains]
+    for name in domains:
+        names += tasks.attach_tasks(name, regime)
     return names

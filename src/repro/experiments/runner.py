@@ -33,6 +33,8 @@ from repro.experiments.tasks import (
     SYSTEMS,
     Table5Cell,
     active_domains,
+    attach_target,
+    attach_tasks,
     build_suite_graph,
     domain_task,
     eval_task,
@@ -146,7 +148,8 @@ class BenchmarkSuite:
         return domain_name
 
     def train_regime(self, system_name: str, domain_name: str | None, regime: str):
-        """A system trained under one Table-5 regime.
+        """A system trained under one Table-5 regime, attached to the
+        databases it is evaluated on (the domain, or MiniSpider's).
 
         Regimes: ``zero`` (Spider train only), ``seed``, ``synth``, ``both``
         (Spider + the respective domain splits); for the Spider control rows,
@@ -156,7 +159,9 @@ class BenchmarkSuite:
         if system_name not in SYSTEMS:
             raise KeyError(system_name)
         target = self._check_regime(domain_name, regime)
-        return self.artifact(train_task(system_name, target, regime))
+        name = train_task(system_name, target, regime)
+        self.ensure([name, *attach_tasks(target, regime)])
+        return attach_target(self.artifact(name), target, regime, self.artifact)
 
     def eval_cell(
         self, system_name: str, domain_name: str | None, regime: str

@@ -18,13 +18,26 @@ systems, the simulated LLMs, the pipeline or the analyzer.
 
 Graph shape (``build_suite_graph``)::
 
-    corpus ──────────────┬─> synth-spider:<db> (×11) ─> synth-spider
-                         ├─> train:<sys>:spider:<regime> ─> eval:…
+    corpus ──────────────┬─> synth-spider:<db> (×11) ─> synth-spider ─┐
+                         ├─> split:spider:train    split:spider:synth <┘
                          ├─> table:1, table:2, table:3
-    domain:<name> (×3) ──┼─> table:1, table:2, table:3, table:4
-                         └─> train:<sys>:<domain>:<regime> ─> eval:…
+    domain:<name> (×3) ──┼─> split:<name>:seed, split:<name>:synth
+                         └─> table:1, table:2, table:3, table:4
 
-A ``table:N`` artifact is Table N's rows, so a warm render only formats.
+    split:<owner>:<part> ─┬─> lexicon:<owner>:<part>
+                          └─> train:<sys>:<target>:<regime>
+    train:… + corpus or domain:<target> + lexicon:<target>:… ─> eval:…
+
+A ``split:`` task lifts one training split's pairs to SemQL, once for every
+system and regime that trains on it; its ``lexicon:`` task folds that
+split's per-database lexicons.  A ``train:`` task folds its regime's
+splits, in training order, into what only that system learns, so its
+artifact holds no database, lexicon or embedding; its keys depend only on
+the split list, so ``train:<sys>:<domain>:zero`` and
+``train:<sys>:spider:zero`` share one (the runtime computes a key once per
+run).  Whoever predicts with a trained system attaches its target's
+databases and lexicons to a copy of it (:func:`attach_target`).  A
+``table:N`` artifact is Table N's rows, so a warm render only formats.
 """
 
 from __future__ import annotations
@@ -91,6 +104,17 @@ def synth_spider_db_task(db_id: str) -> str:
     return f"synth-spider:{db_id}"
 
 
+def split_task(owner: str, part: str) -> str:
+    """A prepared training split: Spider's ``train`` or ``synth`` (``owner``
+    ``"spider"``), or a domain's ``seed`` or ``synth``."""
+    return f"split:{owner}:{part}"
+
+
+def lexicon_task(owner: str, part: str) -> str:
+    """The per-database lexicons of one training split."""
+    return f"lexicon:{owner}:{part}"
+
+
 def train_task(system: str, target: str, regime: str) -> str:
     """``target`` is a domain name or ``"spider"`` for the control rows."""
     return f"train:{system}:{target}:{regime}"
@@ -114,6 +138,61 @@ def salted_rng(seed: int, salt: str) -> random.Random:
 def limited(pairs, limit: int | None) -> list:
     """The first ``limit`` pairs; all of them when ``limit`` is None or 0."""
     return pairs[:limit] if limit else list(pairs)
+
+
+def regime_splits(target: str, regime: str) -> list[tuple[str, str]]:
+    """The ``(owner, part)`` training splits of one Table-5 regime, in
+    training order (see :func:`split_task`)."""
+    if target == "spider":
+        parts = {"zero": ("train",), "plus-synth": ("train", "synth"), "synth-only": ("synth",)}
+        return [("spider", part) for part in parts[regime]]
+    parts = {"zero": (), "seed": ("seed",), "synth": ("synth",), "both": ("seed", "synth")}
+    return [("spider", "train")] + [(target, part) for part in parts[regime]]
+
+
+def source_task(target: str) -> str:
+    """The task holding ``target``'s databases and dev split: its domain,
+    or the corpus for ``"spider"``."""
+    return CORPUS_TASK if target == "spider" else domain_task(target)
+
+
+def attach_tasks(target: str, regime: str) -> list[str]:
+    """The tasks :func:`attach_target` reads: :func:`source_task`, then the
+    lexicons of the regime's splits on the target, in training order."""
+    return [source_task(target)] + [
+        lexicon_task(owner, part)
+        for owner, part in regime_splits(target, regime)
+        if owner == target
+    ]
+
+
+def attach_target(system, target: str, regime: str, artifact):
+    """A copy of a trained system (``system.detached()``) with the
+    databases ``target`` evaluates on attached, each with the lexicon
+    ``regime`` learned there; ``system`` itself is not changed.
+
+    ``artifact(name)`` returns the artifact of each of
+    :func:`attach_tasks`.  A domain target attaches its domain, ``"spider"``
+    the MiniSpider databases; a database no split of the regime covers gets
+    an empty lexicon, as ``register_database`` gives it.
+    """
+    from repro.nl2sql.lexicon import merged
+
+    source_name, *lexicon_names = attach_tasks(target, regime)
+    source = artifact(source_name)
+    parts = [artifact(name) for name in lexicon_names]
+    if target == "spider":
+        databases = [
+            (db_id, database, source.enhanced[db_id])
+            for db_id, database in source.databases.items()
+        ]
+    else:
+        databases = [(target, source.database, source.enhanced)]
+    system = system.detached()
+    for db_id, database, enhanced in databases:
+        lexicon = merged(db_id, [part[db_id] for part in parts if db_id in part])
+        system.attach(db_id, database, enhanced, lexicon)
+    return system
 
 
 def eval_grid(
@@ -233,30 +312,44 @@ def merge_synth_spider(params: dict, inputs: dict) -> Split:
     return Split(name="spider-synth", pairs=pairs)
 
 
+def prepare_split_task(params: dict, inputs: dict):
+    """Lift one training split's pairs to SemQL (a ``PreparedSplit``)."""
+    from repro.nl2sql.base import PreparedSplit, lift
+
+    owner, part = params["owner"], params["part"]
+    if owner == "spider":
+        corpus: SpiderCorpus = inputs["corpus"]
+        pairs = corpus.train.pairs if part == "train" else inputs[SYNTH_SPIDER_TASK].pairs
+        schemas = {db_id: database.schema for db_id, database in corpus.databases.items()}
+    else:
+        domain: BenchmarkDomain = inputs["domain"]
+        pairs = domain.seed.pairs if part == "seed" else domain.synth.pairs
+        schemas = {owner: domain.database.schema}
+    pairs = list(pairs)
+    return PreparedSplit(pairs=pairs, trees=lift(pairs, schemas))
+
+
+def split_lexicons_task(params: dict, inputs: dict) -> dict:
+    """One prepared split's lexicons, ``{db_id: LearnedLexicon}``, folded
+    in pair order."""
+    from repro.nl2sql.lexicon import fold
+
+    split = inputs["split"]
+    return fold({}, split.pairs, split.trees)
+
+
 def train_system_task(params: dict, inputs: dict):
-    """Train one system under one Table-5 regime (see ``Suite.train_regime``)."""
+    """Train one system on its regime's prepared splits, in order (see
+    ``Suite.train_regime``)."""
     from repro.nl2sql import SYSTEM_CLASSES
 
     system = SYSTEM_CLASSES[params["system"]]()
-    corpus: SpiderCorpus = inputs["corpus"]
-    for db_id, database in corpus.databases.items():
-        system.register_database(db_id, database, corpus.enhanced[db_id])
-    domain_name = params["domain"]
-    regime = params["regime"]
-    pairs = list(corpus.train.pairs)
-    if domain_name is None:
-        if regime == "plus-synth":
-            pairs = pairs + list(inputs[SYNTH_SPIDER_TASK].pairs)
-        elif regime == "synth-only":
-            pairs = list(inputs[SYNTH_SPIDER_TASK].pairs)
-    else:
-        domain: BenchmarkDomain = inputs["domain"]
-        system.register_database(domain_name, domain.database, domain.enhanced)
-        if regime in ("seed", "both"):
-            pairs += list(domain.seed.pairs)
-        if regime in ("synth", "both"):
-            pairs += list(domain.synth.pairs)
-    system.train(pairs)
+    pairs: list = []
+    trees: list = []
+    for name in params["splits"]:
+        pairs += inputs[name].pairs
+        trees += inputs[name].trees
+    system.train(pairs, trees)
     return system
 
 
@@ -270,34 +363,30 @@ def eval_cell_task(params: dict, inputs: dict) -> Table5Cell:
     """
     from repro.metrics.execution import ExecutionAccuracy
 
-    system = inputs["system"]
-    domain_name = params["domain"]
+    target = params["domain"] or "spider"
+    system = attach_target(inputs["system"], target, params["regime"], inputs.__getitem__)
+    source = inputs[source_task(target)]
     accuracy = ExecutionAccuracy()
     tracer = get_tracer()
-    if domain_name is None:
-        corpus: SpiderCorpus = inputs["corpus"]
-        pairs = limited(corpus.dev.pairs, params["dev_limit"])
-    else:
-        domain: BenchmarkDomain = inputs["domain"]
-        pairs = limited(domain.dev.pairs, params["dev_limit"])
+    pairs = limited(source.dev.pairs, params["dev_limit"])
     with tracer.span("eval.predict", n_pairs=len(pairs)):
         predictions = list(system.predict_all(pairs))
     with tracer.span("eval.score", n_pairs=len(pairs)):
-        if domain_name is None:
+        if target == "spider":
             for pair, predicted in zip(pairs, predictions):
                 accuracy.add(
-                    corpus.databases[pair.db_id], pair.sql, predicted,
+                    source.databases[pair.db_id], pair.sql, predicted,
                     enhanced=None,
                 )
         else:
             for pair, predicted in zip(pairs, predictions):
                 accuracy.add(
-                    domain.database, pair.sql, predicted,
-                    enhanced=domain.enhanced,
+                    source.database, pair.sql, predicted,
+                    enhanced=source.enhanced,
                 )
     return Table5Cell(
         system=params["system"],
-        domain=domain_name or "spider",
+        domain=target,
         regime=params["regime"],
         accuracy=accuracy.accuracy,
         n_eval=accuracy.total,
@@ -384,55 +473,58 @@ def build_suite_graph(
         )
     )
 
+    splits = [("spider", "train"), ("spider", "synth")]
+    splits += [(name, part) for name in domains for part in ("seed", "synth")]
+    for owner, part in splits:
+        if owner != "spider":
+            deps: tuple[tuple[str, str], ...] = (("domain", domain_task(owner)),)
+        elif part == "train":
+            deps = (("corpus", CORPUS_TASK),)
+        else:
+            deps = (("corpus", CORPUS_TASK), (SYNTH_SPIDER_TASK, SYNTH_SPIDER_TASK))
+        graph.add(
+            Task(
+                split_task(owner, part),
+                _FN("prepare_split_task"),
+                {"owner": owner, "part": part},
+                deps=deps,
+            )
+        )
+        graph.add(
+            Task(
+                lexicon_task(owner, part),
+                _FN("split_lexicons_task"),
+                {},
+                deps=(("split", split_task(owner, part)),),
+            )
+        )
+
+    cells = [(name, regime) for name in domains for regime in DOMAIN_REGIMES]
+    cells += [("spider", regime) for regime in SPIDER_REGIMES]
     for system in SYSTEMS:
-        for name in domains:
-            for regime in DOMAIN_REGIMES:
-                tname = train_task(system, name, regime)
-                graph.add(
-                    Task(
-                        tname,
-                        _FN("train_system_task"),
-                        {"system": system, "domain": name, "regime": regime},
-                        deps=(("corpus", CORPUS_TASK), ("domain", domain_task(name))),
-                    )
-                )
-                graph.add(
-                    Task(
-                        eval_task(system, name, regime),
-                        _FN("eval_cell_task"),
-                        {
-                            "system": system,
-                            "domain": name,
-                            "regime": regime,
-                            "dev_limit": config.dev_limit,
-                        },
-                        deps=(("system", tname), ("domain", domain_task(name))),
-                    )
-                )
-        for regime in SPIDER_REGIMES:
-            deps: tuple[tuple[str, str], ...] = (("corpus", CORPUS_TASK),)
-            if regime != "zero":
-                deps += ((SYNTH_SPIDER_TASK, SYNTH_SPIDER_TASK),)
-            tname = train_task(system, "spider", regime)
+        for target, regime in cells:
+            names = [split_task(*split) for split in regime_splits(target, regime)]
+            tname = train_task(system, target, regime)
             graph.add(
                 Task(
                     tname,
                     _FN("train_system_task"),
-                    {"system": system, "domain": None, "regime": regime},
-                    deps=deps,
+                    {"system": system, "splits": names},
+                    deps=tuple((name, name) for name in names),
                 )
             )
             graph.add(
                 Task(
-                    eval_task(system, "spider", regime),
+                    eval_task(system, target, regime),
                     _FN("eval_cell_task"),
                     {
                         "system": system,
-                        "domain": None,
+                        "domain": None if target == "spider" else target,
                         "regime": regime,
                         "dev_limit": config.dev_limit,
                     },
-                    deps=(("system", tname), ("corpus", CORPUS_TASK)),
+                    deps=(("system", tname),)
+                    + tuple((name, name) for name in attach_tasks(target, regime)),
                 )
             )
 

@@ -2,37 +2,84 @@
 
 A system is trained on NL/SQL pairs spanning any number of databases (the
 Table 5 regimes mix MiniSpider with domain seed/synth splits) and is asked
-to predict SQL for questions over a *registered* database, which supplies
-schema, content index and enhanced metadata — mirroring how the paper's
-systems receive the target database and its NL column labels at inference.
+to predict SQL for questions over an *attached* database, which supplies
+schema, content index, enhanced metadata and the database's learned
+lexicon — mirroring how the paper's systems receive the target database and
+its NL column labels at inference.
 
-Training lifts each pair's SQL to SemQL once and feeds the tree to one
-lexicon plus the system's hook:
+Training lifts each pair's SQL to SemQL once (:func:`lift`) and feeds the
+tree to two learners:
 
-* a per-database :class:`~repro.nl2sql.lexicon.LearnedLexicon` — domain
-  phrasing only helps on the domain it was learned from;
+* a per-database :class:`~repro.nl2sql.lexicon.LearnedLexicon`
+  (:func:`~repro.nl2sql.lexicon.fold`) — domain phrasing only helps on the
+  domain it was learned from;
 * the system's :meth:`NLToSQLSystem._observe` hook — ValueNet's template
   store, T5's translation memory, SmBoP's projection prior.  The first two
   are global: query *structure* transfers across databases, which is why
   Spider-trained systems produce plausible-but-wrong SQL on scientific
   domains rather than nothing at all.
+
+There are two ways in.  ``register_database`` + ``train(pairs)`` does it
+all in the system: lift, fold the registered databases' lexicons, observe.
+The suite's task graph splits that up (``repro.experiments.tasks``): a
+:class:`PreparedSplit` task lifts each training split once, a lexicon task
+folds that split's lexicons, and a train task calls ``train(pairs, trees)``
+with the trees already lifted, which runs only the hook.  A graph-trained
+artifact therefore holds what only its system learned — no database, no
+lexicon, and (for T5) no embedding, which is rebuilt on first use.  Before
+it predicts, each consumer takes its own :meth:`NLToSQLSystem.detached`
+copy and :meth:`NLToSQLSystem.attach`-es to it each database it will be
+asked about, with the lexicon its regime learned there.  The trained object
+itself never changes, so one object (several regimes may share one key)
+serves every target and decode thread.
 """
 
 from __future__ import annotations
 
 import abc
+import copy
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.datasets.records import NLSQLPair
 from repro.engine.database import Database
 from repro.errors import ReproError, TrainingError
 from repro.lru import BoundedLRU
-from repro.nl2sql.lexicon import LearnedLexicon
+from repro.nl2sql.lexicon import LearnedLexicon, fold
 from repro.nl2sql.linking import Links, SchemaLinker
 from repro.schema.enhanced import EnhancedSchema
+from repro.schema.model import Schema
 from repro.semql import nodes as sq
 from repro.semql.from_sql import sql_to_semql
 from repro.sql import parse
+
+
+def lift(pairs: Sequence[NLSQLPair], schemas: Mapping[str, Schema]) -> list[sq.Z | None]:
+    """Each pair's SQL parsed and lifted to SemQL over its database's schema,
+    or None when the SQL is outside the SemQL subset.
+
+    Raises :class:`TrainingError` for a pair whose database has no schema in
+    ``schemas`` (an unregistered database)."""
+    trees: list[sq.Z | None] = []
+    for pair in pairs:
+        schema = schemas.get(pair.db_id)
+        if schema is None:
+            raise TrainingError(f"database {pair.db_id!r} was never registered")
+        try:
+            trees.append(sql_to_semql(parse(pair.sql), schema))
+        except ReproError:
+            trees.append(None)
+    return trees
+
+
+@dataclass
+class PreparedSplit:
+    """One training split with each pair's SemQL tree (:func:`lift`)."""
+
+    # Trees pickle first: their many repeated short strings then take the
+    # low memo slots, which a split pickles 22% smaller than pairs-first.
+    trees: list[sq.Z | None]
+    pairs: list[NLSQLPair]
 
 
 @dataclass
@@ -66,11 +113,35 @@ class NLToSQLSystem(abc.ABC):
     def register_database(
         self, db_id: str, database: Database, enhanced: EnhancedSchema
     ) -> None:
-        """Make a database available for training and prediction."""
+        """Make a database available for training and prediction; its
+        lexicon starts empty and :meth:`train` fills it."""
+        lexicon = self._lexicons.get(db_id) or LearnedLexicon(db_id=db_id)
+        self.attach(db_id, database, enhanced, lexicon)
+
+    def attach(
+        self,
+        db_id: str,
+        database: Database,
+        enhanced: EnhancedSchema,
+        lexicon: LearnedLexicon,
+    ) -> None:
+        """Answer questions over ``database`` with ``lexicon``, learned from
+        this system's training pairs on it.  Other attached databases stay;
+        attaching the same database again replaces its entry."""
         self._contexts[db_id] = DomainContext(db_id=db_id, database=database, enhanced=enhanced)
+        self._lexicons[db_id] = lexicon
         self._linkers.pop(db_id, None)
-        self._lexicons.setdefault(db_id, LearnedLexicon(db_id=db_id))
         self._link_cache.clear()
+
+    def detached(self) -> NLToSQLSystem:
+        """A copy that shares what training learned (read-only once
+        trained) but no attached database, lexicon, linker or link memo:
+        each consumer attaches its target to its own copy, so one trained
+        object serves any number of targets and decode threads unchanged."""
+        system = copy.copy(self)
+        system._contexts, system._linkers, system._lexicons = {}, {}, {}
+        system._link_cache = BoundedLRU(self.LINK_CACHE_SIZE)
+        return system
 
     def context(self, db_id: str) -> DomainContext:
         try:
@@ -80,27 +151,29 @@ class NLToSQLSystem(abc.ABC):
 
     # -- training -------------------------------------------------------------------
 
-    def train(self, pairs: list[NLSQLPair]) -> None:
-        """Train on NL/SQL pairs (all referenced databases must be registered).
+    def train(
+        self, pairs: list[NLSQLPair], trees: Sequence[sq.Z | None] | None = None
+    ) -> None:
+        """Train on NL/SQL pairs, in order.
 
-        Each pair's SQL is parsed and lifted to SemQL once; the tree, or
-        None when the SQL is outside the SemQL subset, feeds the lexicon
-        and then :meth:`_observe`, pair by pair in order."""
+        Without ``trees``, every referenced database must be registered:
+        the pairs are lifted (:func:`lift`) and fold into the registered
+        lexicons.  ``trees`` are the pairs' trees as prepared splits lifted
+        them; then only :meth:`_observe` learns, and the lexicons come with
+        :meth:`attach`."""
         if not pairs:
             raise TrainingError("no training pairs supplied")
-        for pair in pairs:
-            context = self.context(pair.db_id)
-            try:
-                z = sql_to_semql(parse(pair.sql), context.database.schema)
-            except ReproError:
-                z = None
-            self._lexicons[pair.db_id].observe(pair.question, z)
-            self._observe(pair, context, z)
+        if trees is None:
+            schemas = {db_id: c.database.schema for db_id, c in self._contexts.items()}
+            trees = lift(pairs, schemas)
+            fold(self._lexicons, pairs, trees)
+        for pair, z in zip(pairs, trees):
+            self._observe(pair, z)
         self._trained = True
         # Training updates the lexicons, which feed linking.
         self._link_cache.clear()
 
-    def _observe(self, pair: NLSQLPair, context: DomainContext, z: sq.Z | None) -> None:
+    def _observe(self, pair: NLSQLPair, z: sq.Z | None) -> None:
         """Hook for system-specific training statistics; ``z`` is the pair's
         SemQL tree, or None when its SQL is outside the SemQL subset."""
 

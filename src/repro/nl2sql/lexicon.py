@@ -15,8 +15,15 @@ co-occur with everything.
 The count tables are plain dicts of ints, not ``Counter``s: a trained system
 holds tens of thousands of buckets, and plain dicts unpickle on pickle's C
 fast path and drop out of the garbage collector's tracking, where every
-``Counter`` stays tracked.  They are what a trained artifact holds of
-linking; its schema linkers are built on first use (``NLToSQLSystem.link``).
+``Counter`` stays tracked.  Schema linkers are built on first use
+(``NLToSQLSystem.link``).
+
+Lexicons are learned by one in-order fold over training pairs (:func:`fold`),
+which ``NLToSQLSystem.train`` and the suite's per-split lexicon tasks share.
+Folds of consecutive runs of pairs combine with :func:`merged`: counts add
+and every key keeps the position it was first seen at, so the result equals
+one fold over the runs' concatenated pairs, insertion order included (the
+order that breaks :func:`dominant` ties).
 """
 
 from __future__ import annotations
@@ -26,8 +33,14 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from repro.semql import nodes as sq
+
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from repro.datasets.records import NLSQLPair
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:\.[0-9]+)?")
 _STOP = frozenset(
@@ -210,3 +223,40 @@ class LearnedLexicon:
             if value > 0.05:
                 scores[best_key] += value
         return scores
+
+
+def fold(
+    lexicons: dict[str, LearnedLexicon], pairs: Sequence[NLSQLPair], trees: Sequence
+) -> dict[str, LearnedLexicon]:
+    """Observe each pair, with its SemQL tree, on its database's lexicon, in
+    pair order; a database's lexicon is created at its first pair."""
+    for pair, z in zip(pairs, trees):
+        lexicon = lexicons.get(pair.db_id)
+        if lexicon is None:
+            lexicon = lexicons[pair.db_id] = LearnedLexicon(db_id=pair.db_id)
+        lexicon.observe(pair.question, z)
+    return lexicons
+
+
+def merged(db_id: str, parts: Sequence[LearnedLexicon]) -> LearnedLexicon:
+    """A new lexicon of ``db_id`` equal to one fold over the pairs of
+    ``parts`` in order (empty when there are none); the parts are not
+    changed."""
+    lexicon = LearnedLexicon(db_id=db_id)
+    for part in parts:
+        for mine, theirs in (
+            (lexicon.column_assoc, part.column_assoc),
+            (lexicon.table_assoc, part.table_assoc),
+            (lexicon.value_assoc, part.value_assoc),
+        ):
+            for ngram, counts in theirs.items():
+                bucket = mine.get(ngram)
+                if bucket is None:
+                    mine[ngram] = dict(counts)
+                    continue
+                for key, n in counts.items():
+                    bucket[key] = bucket.get(key, 0) + n
+        for ngram, n in part.ngram_freq.items():
+            lexicon.ngram_freq[ngram] = lexicon.ngram_freq.get(ngram, 0) + n
+        lexicon.n_pairs += part.n_pairs
+    return lexicon

@@ -41,7 +41,7 @@ class SmBoP(NLToSQLSystem):
         #: seed/synth data improves SmBoP in Table 5.
         self._projection_counts: dict[tuple[str, str, str], int] = {}
 
-    def _observe(self, pair, context, z) -> None:
+    def _observe(self, pair, z) -> None:
         if z is None:
             return
         for r in (z.left, z.right):
@@ -53,7 +53,7 @@ class SmBoP(NLToSQLSystem):
                     column.table, sq.TableLeaf
                 ):
                     key = (
-                        context.db_id,
+                        pair.db_id,
                         column.table.name.lower(),
                         column.name.lower(),
                     )

@@ -40,6 +40,13 @@ class TemplateStructure:
     n_conditions: int
     distinct: bool
 
+    # Pickled sorted: a frozenset pickles in hash order (PYTHONHASHSEED).
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "aggs": tuple(sorted(self.aggs))}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, aggs=frozenset(state["aggs"]))
+
 
 def template_structure(template: Template) -> TemplateStructure:
     tree = template.tree

@@ -5,7 +5,10 @@ The paper runs T5-Large *without* Picard (its Haskell decoder did not
 build), i.e. an unconstrained text-to-text model.  We model that behaviour
 with a translation memory: the training pair whose question embedding is
 nearest to the input question supplies the query structure, which is then
-adapted to the target database.  Two T5-characteristic behaviours are kept:
+adapted to the target database.  The memory keeps each training pair with
+its template; the question embeddings are rebuilt on first use (they are
+a pure function of the questions), so a trained artifact holds none.  Two
+T5-characteristic behaviours are kept:
 
 * strong when a similar question was seen in training (hence the large
   +synth gains in Table 5 — synthetic data floods the memory with in-domain
@@ -45,18 +48,22 @@ class T5Seq2Seq(NLToSQLSystem):
         super().__init__()
         self.memory_neighbours = memory_neighbours
         self.embedder = SentenceEmbedder()
-        self._memory: list[
-            tuple[np.ndarray, NLSQLPair, Template | None, TemplateStructure | None]
-        ] = []
+        self._memory: list[tuple[NLSQLPair, Template | None, TemplateStructure | None]] = []
+        #: ``embedder.embed`` of each memory entry's question, built by the
+        #: first ``_nearest`` and never pickled.
+        self._embeddings: list[np.ndarray] | None = None
 
-    def _observe(self, pair: NLSQLPair, context: DomainContext, z: sq.Z | None) -> None:
-        embedding = self.embedder.embed(pair.question)
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_embeddings": None}
+
+    def _observe(self, pair: NLSQLPair, z: sq.Z | None) -> None:
         template: Template | None = None
         structure: TemplateStructure | None = None
         if z is not None:
             template = extract_template(z, source_sql=pair.sql)
             structure = template_structure(template)
-        self._memory.append((embedding, pair, template, structure))
+        self._memory.append((pair, template, structure))
+        self._embeddings = None
 
     def _predict(self, question: str, context: DomainContext) -> str | None:
         if not self._memory:
@@ -92,11 +99,16 @@ class T5Seq2Seq(NLToSQLSystem):
         """Neighbours by embedding similarity, re-ranked by the structural
         plausibility a trained decoder would enforce (scored once per
         distinct structure: the memory holds few)."""
+        embeddings = self._embeddings
+        if embeddings is None:
+            embeddings = self._embeddings = [
+                self.embedder.embed(pair.question) for pair, _, _ in self._memory
+            ]
         query_vec = self.embedder.embed(question)
         q_struct = question_structure(question, n_value_links=n_value_links)
         fits: dict[TemplateStructure, float] = {}
         scored = []
-        for embedding, pair, template, structure in self._memory:
+        for embedding, (pair, template, structure) in zip(embeddings, self._memory):
             similarity = float(np.dot(query_vec, embedding))
             if pair.db_id == db_id:
                 similarity += 0.15  # in-domain prior

@@ -36,6 +36,14 @@ class TemplateEntry:
         self.centroid = (self.centroid * self.count + features) / (self.count + 1)
         self.count += 1
 
+    # The centroid pickles as plain floats (exact both ways), so a trained
+    # artifact holds no numpy array.
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "centroid": self.centroid.tolist()}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, centroid=np.array(state["centroid"], dtype=np.float64))
+
 
 @dataclass
 class TemplateStore:

@@ -36,7 +36,7 @@ class ValueNet(NLToSQLSystem):
         self.beam_size = beam_size
         self.templates = TemplateStore()
 
-    def _observe(self, pair: NLSQLPair, context: DomainContext, z: sq.Z | None) -> None:
+    def _observe(self, pair: NLSQLPair, z: sq.Z | None) -> None:
         if z is not None:
             self.templates.observe(pair.question, pair.sql, z)
 

@@ -14,9 +14,11 @@ a :class:`TaskGraph`.  A task declares
   depends on schedule order.
 
 The **content hash** of a task is a SHA-256 over its body name, params and
-the hashes of its dependencies.  Identical hash ⇒ identical artifact, which
-is what makes the disk cache safe and parallel/sequential schedules
-bit-identical.
+the hashes of its dependencies.  Identical hash ⇒ identical artifact, down
+to the cache entry's bytes: bodies are pure, and artifacts pickle the same
+under every ``PYTHONHASHSEED`` (sets are pickled sorted, see
+``ColumnStats`` and ``TemplateStructure``).  That is what makes the disk
+cache safe and parallel/sequential schedules bit-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +38,10 @@ from dataclasses import dataclass, field
 #:    artifact's own pickle.
 #: 6: learned lexicons count in plain dicts, not ``Counter``s, and a trained
 #:    system carries no schema linkers (they are built on first use).
-GRAPH_FORMAT = 6
+#: 7: training splits are prepared once (``split:``) and their lexicons
+#:    folded once (``lexicon:``); a trained system holds no database,
+#:    lexicon or embedding, and sets pickle sorted.
+GRAPH_FORMAT = 7
 
 
 def derive_seed(base_seed: int, task_name: str) -> int:

@@ -5,7 +5,8 @@
 1. targets are resolved depth-first, consulting the in-process memo and the
    disk cache by content hash — a cached task prunes its whole upstream
    subgraph (a warm ``tables 5`` never even loads the trained systems'
-   inputs);
+   inputs), and a task whose key another task of the run already computes
+   is satisfied by that computation (recorded as ``memo``);
 2. what remains is computed, either inline (``workers=1``) or fanned across
    a :class:`~concurrent.futures.ProcessPoolExecutor`, submitting every task
    whose dependencies are satisfied.
@@ -260,9 +261,9 @@ class Runtime:
     def run(self, graph: TaskGraph, targets: list[str] | tuple[str, ...]) -> dict[str, Any]:
         """Materialize ``targets``; returns ``{task name: artifact}``."""
         targets = list(dict.fromkeys(targets))
-        resolved: set[str] = set()
         pending: list[str] = []  # topological: deps are planned first
         planned: set[str] = set()
+        pending_keys: set[str] = set()
         tracer = get_tracer()
 
         def plan(name: str) -> None:
@@ -270,8 +271,8 @@ class Runtime:
                 return
             planned.add(name)
             key = graph.content_hash(name)
-            if key in self._memo:
-                resolved.add(name)
+            # A key another pending task computes is memoized by that task.
+            if key in self._memo or key in pending_keys:
                 self.report.records.append(TaskRecord(name, "memo", 0.0, key))
                 self.metrics.inc("runtime.memo")
                 if tracer.enabled:
@@ -281,7 +282,6 @@ class Runtime:
             hit, artifact = self.cache.load(key)
             if hit:
                 self._memo[key] = artifact
-                resolved.add(name)
                 seconds = self.clock.now() - start
                 self.report.records.append(TaskRecord(name, "hit", seconds, key))
                 self.metrics.inc("runtime.cache_hits")
@@ -299,6 +299,7 @@ class Runtime:
             for dep in graph.task(name).dep_names():
                 plan(dep)
             pending.append(name)
+            pending_keys.add(key)
 
         with tracer.span("runtime.run", targets=",".join(targets)):
             for target in targets:
@@ -306,9 +307,9 @@ class Runtime:
 
             if pending:
                 if self.workers == 1 or len(pending) == 1:
-                    self._run_sequential(graph, pending, resolved)
+                    self._run_sequential(graph, pending)
                 else:
-                    self._run_parallel(graph, pending, resolved, set(targets))
+                    self._run_parallel(graph, pending, set(targets))
             return {name: self._artifact(graph, name) for name in targets}
 
     # -- execution ------------------------------------------------------------
@@ -328,7 +329,6 @@ class Runtime:
         name: str,
         artifact: Any,
         seconds: float,
-        resolved: set[str],
         retries: int = 0,
         faults: int = 0,
     ) -> None:
@@ -339,7 +339,6 @@ class Runtime:
                 span.set_attr("bytes", self.cache.store(key, name, artifact))
             self.metrics.observe("runtime.cache_store_s", self.clock.now() - start)
         self._memo[key] = artifact
-        resolved.add(name)
         self.report.records.append(
             TaskRecord(name, "computed", seconds, key, retries=retries, faults=faults)
         )
@@ -378,7 +377,7 @@ class Runtime:
         self.report.recovered[kind] = self.report.recovered.get(kind, 0) + 1
         self.metrics.inc(f"runtime.recovered.{kind}")
 
-    def _run_sequential(self, graph: TaskGraph, pending: list[str], resolved: set[str]) -> None:
+    def _run_sequential(self, graph: TaskGraph, pending: list[str]) -> None:
         tracer = get_tracer()
         for name in pending:
             task = graph.task(name)
@@ -415,13 +414,13 @@ class Runtime:
                     span.set_attr("status", "computed")
                     span.set_attr("retries", attempt)
                     self._finish(
-                        graph, name, artifact, seconds, resolved,
+                        graph, name, artifact, seconds,
                         retries=attempt, faults=faults,
                     )
                     break
 
     def _run_parallel(
-        self, graph: TaskGraph, pending: list[str], resolved: set[str], targets: set[str]
+        self, graph: TaskGraph, pending: list[str], targets: set[str]
     ) -> None:
         remaining = list(pending)
         attempts = dict.fromkeys(pending, 0)
@@ -441,7 +440,7 @@ class Runtime:
                 if len(in_flight) >= slots:
                     return
                 task = graph.task(name)
-                if all(dep in resolved for dep in task.dep_names()):
+                if all(graph.content_hash(dep) in self._memo for dep in task.dep_names()):
                     inject = self._draw_fault(name, attempts[name])
                     if inject is not None:
                         faults[name] += 1
@@ -543,7 +542,7 @@ class Runtime:
                     tracer.adopt(worker_spans)
                     close_span(name, "computed")
                     self._finish(
-                        graph, name, artifact, seconds, resolved,
+                        graph, name, artifact, seconds,
                         retries=attempts[name], faults=faults[name],
                     )
                     finished.append(name)

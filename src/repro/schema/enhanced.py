@@ -59,6 +59,18 @@ class ColumnStats:
     #: The full distinct-value set when small enough to store.
     values: frozenset | None = None
 
+    # A frozenset pickles in hash order, which follows PYTHONHASHSEED; the
+    # values are pickled sorted so an artifact's bytes do not.
+    def __getstate__(self) -> dict:
+        if self.values is None:
+            return dict(self.__dict__)
+        ordered = sorted(self.values, key=lambda v: (type(v).__name__, v))
+        return {**self.__dict__, "values": tuple(ordered)}
+
+    def __setstate__(self, state: dict) -> None:
+        values = state["values"]
+        self.__dict__.update(state, values=None if values is None else frozenset(values))
+
 
 @dataclass
 class EnhancedSchema:

@@ -1,9 +1,10 @@
 """Warm-start loading of trained systems from the artifact cache.
 
 Serving never trains: it asks the suite's task graph for the already
-trained per-domain systems (``train:<system>:<domain>:<regime>``) and the
-domain artifacts, which the runtime satisfies from its content-addressed
-disk cache when one is configured.  :func:`load_backends` also *probes*
+trained per-domain systems (``train:<system>:<domain>:<regime>``), the
+domain artifacts and the regime's lexicons, which the runtime satisfies
+from its content-addressed disk cache when one is configured, and attaches
+each system to its served domain only.  :func:`load_backends` also *probes*
 the runtime first, so callers can report whether the start was warm
 (every artifact cached or memoized) or had to compute.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.experiments import registry
-from repro.experiments.tasks import domain_task, train_task
+from repro.experiments.tasks import attach_target, domain_task, train_task
 from repro.serving.fallback import TemplateFallback
 from repro.serving.server import DomainBackend
 
@@ -70,7 +71,10 @@ def load_backends(
     backends: dict[str, DomainBackend] = {}
     for name in domains:
         domain = suite.artifact(domain_task(name))
-        system = suite.artifact(train_task(system_name, name, regime))
+        system = attach_target(
+            suite.artifact(train_task(system_name, name, regime)), name, regime,
+            suite.artifact,
+        )
         fallback = None
         if with_fallback:
             fallback = TemplateFallback()

@@ -148,8 +148,10 @@ def test_train_regime_validation(suite):
 
 
 def test_domain_train_task_reads_only_corpus_and_its_own_domain():
-    """A domain-trained system depends on, registers and is keyed by its own
-    domain only, so a suite over fewer domains shares its cache entries."""
+    """A domain-trained system trains on Spider's train split and its own
+    domain's splits only, prepared from the corpus and that domain, so a
+    suite over fewer domains shares its cache entries; the zero regime
+    trains on Spider alone and shares the Spider control's key."""
     import dataclasses
 
     from repro.experiments.config import quick
@@ -159,17 +161,27 @@ def test_domain_train_task_reads_only_corpus_and_its_own_domain():
         SYSTEM_CLASSES,
         build_suite_graph,
         domain_task,
+        split_task,
         train_task,
     )
 
     everything = build_suite_graph(quick())
     cordis_only = build_suite_graph(dataclasses.replace(quick(), domains=("cordis",)))
+    parts = {"zero": [], "seed": ["seed"], "synth": ["synth"], "both": ["seed", "synth"]}
+    assert everything.task(split_task("spider", "train")).deps == (("corpus", CORPUS_TASK),)
+    for part in ("seed", "synth"):
+        assert everything.task(split_task("cordis", part)).deps == (
+            ("domain", domain_task("cordis")),
+        )
     for system in SYSTEM_CLASSES:
         for regime in DOMAIN_REGIMES:
             name = train_task(system, "cordis", regime)
             task = everything.task(name)
-            assert task.deps == (
-                ("corpus", CORPUS_TASK), ("domain", domain_task("cordis")),
-            )
-            assert "domains" not in task.params
+            splits = [split_task("spider", "train")]
+            splits += [split_task("cordis", part) for part in parts[regime]]
+            assert task.deps == tuple((split, split) for split in splits)
+            assert task.params == {"system": system, "splits": splits}
             assert everything.content_hash(name) == cordis_only.content_hash(name)
+        assert everything.content_hash(
+            train_task(system, "cordis", "zero")
+        ) == everything.content_hash(train_task(system, "spider", "zero"))

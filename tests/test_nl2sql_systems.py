@@ -145,8 +145,8 @@ def test_out_of_semql_pair_only_counts_ngrams(cls, corpus):
     else:
         # T5 keeps the raw pair for its unconstrained fallback, untemplated.
         assert len(both._memory) == 2
-        assert both._memory[1][1] is bad
-        assert both._memory[1][2:] == (None, None)
+        assert both._memory[1][0] is bad
+        assert both._memory[1][1:] == (None, None)
 
 
 def _pickled_classes(data: bytes) -> set[tuple[str, str]]:

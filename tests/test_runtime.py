@@ -197,6 +197,22 @@ def test_runtime_memoizes_and_caches(tmp_path):
     assert changed.report.cache_hits == 2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tasks_sharing_a_key_compute_once_per_run(workers):
+    """Two names with one content hash: the first planned computes, the
+    other is satisfied by it, and dependents of either wait for it."""
+    graph = TaskGraph()
+    graph.add(Task("a", "tests.test_runtime:emit", {"value": "a"}))
+    graph.add(Task("twin", "tests.test_runtime:emit", {"value": "a"}))
+    graph.add(Task("b", "tests.test_runtime:emit", {"value": "b"}))
+    graph.add(Task("ab", "tests.test_runtime:join", {}, deps=(("x", "twin"), ("y", "b"))))
+    assert graph.content_hash("a") == graph.content_hash("twin")
+    runtime = Runtime(workers=workers)
+    assert runtime.run(graph, ["a", "twin", "ab"]) == {"a": "a", "twin": "a", "ab": "a+b"}
+    statuses = {record.name: record.status for record in runtime.report.records}
+    assert statuses == {"a": "computed", "twin": "memo", "b": "computed", "ab": "computed"}
+
+
 def test_probe_reports_memo_cache_and_compute(tmp_path):
     runtime = Runtime(workers=1, cache_dir=str(tmp_path))
     graph = _toy_graph()
