@@ -43,8 +43,6 @@ from repro.adapters.registry import (
     list_adapters,
     load_adapter_source,
     register,
-    register_specs,
-    specs_for,
     temporary,
     unregister,
 )
@@ -63,8 +61,6 @@ __all__ = [
     "list_adapters",
     "load_adapter_source",
     "register",
-    "register_specs",
-    "specs_for",
     "temporary",
     "unregister",
 ]

@@ -146,34 +146,6 @@ def get_manifest(name: str) -> AdapterManifest:
     return get_adapter(name).manifest
 
 
-def specs_for(names) -> tuple[dict, ...]:
-    """Named JSON-safe manifest specs for the given domains.
-
-    The serving fleet ships these with every replica specification: a
-    replica (re)built in a context that never imported the domain modules —
-    a fresh process, a reload factory — re-registers the adapters from the
-    specs before building backends, instead of assuming registry state.
-    """
-    return tuple(
-        {"name": name.lower(), **get_manifest(name).spec()} for name in names
-    )
-
-
-def register_specs(specs) -> None:
-    """Re-register adapters from :func:`specs_for` output (idempotent).
-
-    A spec whose import location matches the already-registered manifest is
-    a no-op even when cosmetic fields (the description) differ — specs are
-    transport, not a second source of truth."""
-    for spec in specs:
-        manifest = AdapterManifest.from_spec(spec["name"], spec)
-        with _lock:
-            existing = _manifests.get(manifest.name)
-        if existing is not None and existing.spec() == manifest.spec():
-            continue
-        register(manifest)
-
-
 class temporary:
     """``with temporary(manifest): ...`` — register for the block only.
 

@@ -187,12 +187,6 @@ def _parser() -> argparse.ArgumentParser:
              "arm (default: 1 = no fleet)",
     )
     serve.add_argument(
-        "--isolation", choices=("process", "thread"), default="process",
-        help="replica decode isolation: process forks one decode worker "
-             "per replica (parallel across cores), thread shares the "
-             "interpreter (default: process)",
-    )
-    serve.add_argument(
         "--tenants", type=int, default=4, metavar="N",
         help="tenants the soak arm round-robins requests over (default: 4)",
     )
@@ -678,14 +672,13 @@ def _serve_bench(suite, args) -> int:
     if args.replicas >= 2:
         base_qps = None
         fleet = FleetProfile(
-            replicas=args.replicas, isolation=args.isolation,
-            tenants=args.tenants,
+            replicas=args.replicas, tenants=args.tenants,
             soak_qps=args.qps, soak_requests=args.soak_requests,
             quota_rate=args.quota_rate, quota_burst=args.quota_burst,
         )
         print(f"fleet: {args.replicas} replica slots over "
-              f"{', '.join(domains)} ({bundle.fleet_spec().system} "
-              f"[{bundle.fleet_spec().regime}])", file=sys.stderr)
+              f"{', '.join(domains)} ({bundle.system_name} "
+              f"[{bundle.regime}])", file=sys.stderr)
     profile = LoadProfile(
         concurrency=args.concurrency, repeat=args.repeat,
         qps=base_qps, seed=suite.config.seed, limit=args.limit,

@@ -10,9 +10,9 @@ single-flight table (:mod:`repro.serving.cache`) answer its repeats and
 decode each in-flight question exactly once across the whole fleet; the
 router itself holds no results.  Per-tenant token-bucket quotas reject
 over-limit tenants structurally at admission (:mod:`repro.fleet.quotas`),
-and a rolling drain-and-swap protocol reloads models with zero dropped
-requests (:mod:`repro.fleet.replica`,
-:meth:`~repro.fleet.router.FleetRouter.reload`).
+a failed or full shard owner fails over to its ring sibling, and under
+process isolation (what ``serve-bench`` runs) each replica decodes in its
+own forked worker (:mod:`repro.fleet.replica`, :mod:`repro.fleet.procpool`).
 
 Determinism contract: routing hashes are process-independent, replicas own
 private model copies, and ``predict`` is pure — so for a fixed seed, fleet
@@ -22,25 +22,13 @@ answers are byte-identical to the single-replica server's.
 from repro.fleet.hashring import HashRing, stable_hash
 from repro.fleet.procpool import ProcessSystem, fork_available, process_backends
 from repro.fleet.quotas import QuotaPolicy, TenantQuotas, TokenBucket
-from repro.fleet.replica import (
-    DRAINING,
-    SERVING,
-    STOPPED,
-    FleetSpec,
-    Replica,
-    clone_backends,
-    make_replica,
-)
+from repro.fleet.replica import Replica, clone_backends, make_replica
 from repro.fleet.router import FleetConfig, FleetError, FleetRouter, build_fleet
 
 __all__ = [
-    "DRAINING",
-    "SERVING",
-    "STOPPED",
     "FleetConfig",
     "FleetError",
     "FleetRouter",
-    "FleetSpec",
     "HashRing",
     "ProcessSystem",
     "QuotaPolicy",

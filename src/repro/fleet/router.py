@@ -1,4 +1,4 @@
-"""The fleet router: shards, quotas, failover, reload.
+"""The fleet router: shards, quotas, failover.
 
 Request lifecycle::
 
@@ -7,9 +7,9 @@ Request lifecycle::
         ▼
     consistent-hash ring for the domain: owner slot, then siblings
         │ owner breaker open / answer "failed" or "rejected"
-        │         └──> retry the shard on the next sibling (fleet.retries)
+        │         └──> retry the shard on the next sibling (RETRIES)
         ▼
-    replica.submit → InferenceServer (cache → flight → queue → batch)
+    replica.server.submit → InferenceServer (cache → flight → queue → batch)
 
 The router holds no results.  Its ring keys on ``(domain, normalized
 question)`` — the server's result-cache key — so every key lands on the
@@ -23,15 +23,6 @@ Routing is deterministic: the ring hashes with
 always shards the same way.  Combined with replica-private model copies
 (:func:`~repro.fleet.replica.clone_backends`) and pure ``predict``, fleet
 answers are byte-identical to a single replica's.
-
-Zero-downtime reload (:meth:`FleetRouter.reload`) is rolling, one slot at
-a time: build a fresh replica from the factory (warm-started from the
-artifact cache when the factory loads through the runtime), start it,
-atomically swap it into the slot — the ring keys on slot names, so shard
-ownership does not move — then drain the old replica (finish its in-flight
-requests, stop it).  No accepted request is dropped, and no cached answer
-outlives its model generation: the swapped-in server starts with an empty
-cache, and the old server's cache leaves with it.
 """
 
 from __future__ import annotations
@@ -55,23 +46,25 @@ class FleetError(ReproError):
     """Misconfiguration of the fleet tier (not a per-request failure)."""
 
 
+#: Sibling replicas tried after the shard owner fails.
+RETRIES = 1
+#: Result statuses that fail over to a sibling.  ``rejected`` (a full
+#: replica queue) spills load to the sibling; ``failed`` retries a
+#: replica-local fault.  Timeouts never retry — the latency budget is
+#: already spent.
+RETRY_STATUSES = ("failed", "rejected")
+#: Seconds a replica's breaker stays open before probing it again.
+BREAKER_RESET_S = 30.0
+
+
 @dataclass(frozen=True)
 class FleetConfig:
     """Routing and robustness knobs of one :class:`FleetRouter`."""
 
     #: Virtual nodes per replica slot on each domain's ring.
     vnodes: int = 64
-    #: Sibling replicas tried after the shard owner fails.
-    retries: int = 1
-    #: Result statuses that fail over to a sibling.  ``rejected`` (a full
-    #: replica queue) spills load to the sibling; ``failed`` retries a
-    #: replica-local fault.  Timeouts never retry — the latency budget is
-    #: already spent.
-    retry_statuses: tuple[str, ...] = ("failed", "rejected")
     #: Consecutive replica failures that open its circuit breaker.
     breaker_failures: int = 5
-    #: Seconds a replica's breaker stays open before probing it again.
-    breaker_reset_s: float = 30.0
     #: Where replicas decode: ``"thread"`` shares the interpreter (cheap,
     #: GIL-bound), ``"process"`` forks one decode worker per replica so the
     #: fleet scales CPU-bound models across cores
@@ -87,8 +80,6 @@ COUNTERS = (
     "fast_failed",    # replicas skipped because their breaker was open
     "quota_rejected", # admissions rejected by a tenant quota
     "no_replica",     # no live replica could take the request
-    "reloads",        # completed reload() rolls
-    "swapped",        # replicas swapped during reloads
 )
 
 
@@ -99,14 +90,11 @@ class FleetRouter:
         self,
         config: FleetConfig | None = None,
         quotas: TenantQuotas | None = None,
-        factory=None,
         clock=SYSTEM_CLOCK,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.config = config or FleetConfig()
         self.quotas = quotas
-        #: ``() -> dict[str, DomainBackend]`` used by :meth:`reload`.
-        self.factory = factory
         self.clock = clock
         self.registry = registry or MetricsRegistry()
         self._replicas: dict[str, Replica] = {}
@@ -124,21 +112,18 @@ class FleetRouter:
         if replica.slot in self._replicas:
             raise FleetError(f"slot {replica.slot!r} is already occupied")
         self._replicas[replica.slot] = replica
-        self._breakers[replica.slot] = self._new_breaker(replica.slot)
-        for domain in replica.domains:
+        self._breakers[replica.slot] = CircuitBreaker(
+            f"replica:{replica.slot}",
+            failure_threshold=self.config.breaker_failures,
+            reset_timeout_s=BREAKER_RESET_S,
+            clock=self.clock,
+        )
+        for domain in replica.server.backends:
             ring = self._rings.get(domain)
             if ring is None:
                 ring = self._rings[domain] = HashRing(vnodes=self.config.vnodes)
             ring.add(replica.slot)
         self._replica_gauge.set(len(self._replicas))
-
-    def _new_breaker(self, slot: str) -> CircuitBreaker:
-        return CircuitBreaker(
-            f"replica:{slot}",
-            failure_threshold=self.config.breaker_failures,
-            reset_timeout_s=self.config.breaker_reset_s,
-            clock=self.clock,
-        )
 
     @property
     def replicas(self) -> dict[str, Replica]:
@@ -221,13 +206,10 @@ class FleetRouter:
         # The server's result-cache key within the domain's ring, so the
         # owner is the one replica that caches and coalesces this question.
         key = normalize_question(question)
-        candidates = ring.nodes_for(key, self.config.retries + 1)
+        candidates = ring.nodes_for(key, RETRIES + 1)
         last: ServeResult | None = None
         attempted = 0
         for slot in candidates:
-            replica = self._replicas.get(slot)
-            if replica is None or replica.state != "serving":
-                continue
             breaker = self._breakers[slot]
             if not breaker.allow():
                 self._count("fast_failed")
@@ -237,9 +219,9 @@ class FleetRouter:
                 get_tracer().add_event(span, "fleet.retry", replica=slot)
             attempted += 1
             self._count("routed")
-            result = await replica.submit(question, domain)
+            result = await self._replicas[slot].server.submit(question, domain)
             result.replica = slot
-            if result.status in self.config.retry_statuses:
+            if result.status in RETRY_STATUSES:
                 breaker.record_failure()
                 last = result
                 continue
@@ -254,61 +236,9 @@ class FleetRouter:
             error=ServeError(
                 "no-replica",
                 f"no live replica available for domain {domain!r} "
-                "(all candidates draining or circuit-open)",
+                "(all candidates circuit-open)",
             ),
         )
-
-    # -- zero-downtime reload -------------------------------------------------------
-
-    async def reload(self, factory=None) -> dict:
-        """Rolling warm reload of every slot; returns a swap report.
-
-        For each slot: build fresh backends from the factory, start the new
-        replica, atomically swap it into the slot (the ring keys on slot
-        names, so no shard ownership moves), reset the slot's breaker, then
-        drain and stop the old replica.  New requests route to the new
-        replica the moment the swap lands; requests the old replica already
-        accepted complete on it.  The fresh replica starts with an empty
-        result cache, so no answer of the old generation is served again.
-        """
-        factory = factory or self.factory
-        if factory is None:
-            raise FleetError(
-                "reload needs a replica factory (FleetRouter(factory=...) "
-                "or reload(factory=...))"
-            )
-        tracer = get_tracer()
-        swaps = []
-        with tracer.span("fleet.reload", slots=len(self._replicas)):
-            for slot in list(self._replicas):
-                old = self._replicas[slot]
-                with tracer.span("fleet.swap", slot=slot) as span:
-                    fresh = make_replica(
-                        slot,
-                        factory(),
-                        old.server.config,
-                        generation=old.generation + 1,
-                        isolation=self.config.isolation,
-                        clock=self.clock,
-                    )
-                    await fresh.server.start()
-                    # The swap: one assignment, observed atomically by every
-                    # later submit; the ring is untouched.
-                    self._replicas[slot] = fresh
-                    self._breakers[slot] = self._new_breaker(slot)
-                    self._count("swapped")
-                    drained = await old.drain()
-                    span.set_attr("generation", fresh.generation)
-                    span.set_attr("drained", drained)
-                swaps.append(
-                    {
-                        "slot": slot,
-                        "generation": fresh.generation,
-                        "drained_requests": drained,
-                    }
-                )
-        self._count("reloads")
-        return {"swaps": swaps}
 
     # -- observability ----------------------------------------------------------------
 
@@ -334,7 +264,11 @@ class FleetRouter:
             "counters": self.counters,
             "pending": self.pending(),
             "replicas": {
-                slot: replica.snapshot()
+                slot: {
+                    "domains": list(replica.server.backends),
+                    "pending": replica.server.pending(),
+                    "cache": replica.server.cache.stats(),
+                }
                 for slot, replica in sorted(self._replicas.items())
             },
             "breakers": {
@@ -363,25 +297,17 @@ def build_fleet(
     server_config: ServerConfig | None = None,
     config: FleetConfig | None = None,
     quotas: TenantQuotas | None = None,
-    factory=None,
     clock=SYSTEM_CLOCK,
 ) -> FleetRouter:
     """Assemble a router over ``replicas`` cloned slots of ``backends``.
 
     Every replica runs ``server_config``, result cache included: the ring
-    sends each key to one owner, so the owners' caches never overlap.  The
-    default reload factory re-serves the same backends (fresh clones per
-    replica).
+    sends each key to one owner, so the owners' caches never overlap.
     """
     if replicas < 1:
         raise FleetError("a fleet needs at least one replica")
     server_config = server_config or ServerConfig()
-    router = FleetRouter(
-        config=config,
-        quotas=quotas,
-        factory=factory or (lambda: backends),
-        clock=clock,
-    )
+    router = FleetRouter(config=config, quotas=quotas, clock=clock)
     for index in range(replicas):
         router.add_replica(
             make_replica(

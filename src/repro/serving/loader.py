@@ -29,22 +29,6 @@ class ServingBundle:
     regime: str
     #: True when every required artifact came from the cache (no training).
     warm: bool
-    #: Named adapter manifest specs behind the served domains
-    #: (:func:`repro.adapters.specs_for`) — the fleet ships these with every
-    #: replica spec so a reload factory can re-register the domains before
-    #: rebuilding backends in a context that never imported them.
-    adapter_specs: tuple[dict, ...] = ()
-
-    def fleet_spec(self):
-        """The pure-data :class:`~repro.fleet.replica.FleetSpec` equivalent."""
-        from repro.fleet.replica import FleetSpec
-
-        return FleetSpec(
-            system=self.system_name,
-            regime=self.regime,
-            domains=tuple(self.backends),
-            adapter_specs=self.adapter_specs,
-        )
 
 
 def load_backends(
@@ -59,8 +43,6 @@ def load_backends(
     ``domains`` defaults to the suite's own domain set (``config.domains``,
     resolved through the adapter registry).  The server's optional execute
     stage runs on each domain database's own engine, the vector engine."""
-    from repro.adapters import specs_for
-
     if domains is None:
         domains = suite.domain_names()
     names = registry.serving_tasks(system_name, domains, regime)
@@ -84,5 +66,4 @@ def load_backends(
         )
     return ServingBundle(
         backends=backends, system_name=system_name, regime=regime, warm=warm,
-        adapter_specs=specs_for(domains),
     )

@@ -52,12 +52,10 @@ class LoadProfile:
 class FleetProfile:
     """Shape of the fleet and soak arms (``serve-bench --replicas``)."""
 
-    #: Replica slots behind the router (the fleet arm needs >= 2).
+    #: Replica slots behind the router (the fleet arm needs >= 2); each
+    #: decodes in its own forked worker, or on its server's thread where
+    #: ``fork`` is unavailable.
     replicas: int = 2
-    #: Replica decode isolation: ``"process"`` forks one decode worker per
-    #: replica (parallel across cores; falls back to threads without
-    #: ``fork``), ``"thread"`` shares the interpreter.
-    isolation: str = "process"
     #: Virtual nodes per slot on each domain's hash ring.
     vnodes: int = 32
     #: Tenants the soak arm spreads requests over (round-robin).
@@ -340,6 +338,13 @@ def _fleet_details(router) -> dict:
     fleet_stats = router.stats()
     return {
         "replicas": len(router.replicas),
+        # What ran, not what was asked for: without ``fork`` the replicas
+        # decode on their servers' threads and own no worker pool.
+        "isolation": (
+            "process"
+            if any(r.pool is not None for r in router.replicas.values())
+            else "thread"
+        ),
         "counters": counters,
         "stage_latency_ms": stage_latency,
         # Per-replica circuit breakers (uniform key for the gates).
@@ -395,7 +400,7 @@ def run_serve_bench(
     def run_fleet(label: str, arm_stream, qps=None, tenants=1, quotas=None) -> dict:
         from repro.fleet import FleetConfig, build_fleet
 
-        fleet_config = FleetConfig(vnodes=fleet.vnodes, isolation=fleet.isolation)
+        fleet_config = FleetConfig(vnodes=fleet.vnodes, isolation="process")
         build = lambda: build_fleet(
             backends, fleet.replicas, server_config=config,
             config=fleet_config, quotas=quotas,

@@ -20,7 +20,6 @@ class DiscriminatorConfig:
     """Knobs of the candidate-selection phase (k ∈ {1, 2} in the paper)."""
 
     top_k: int = 2
-    dedupe: bool = True
 
 
 class Discriminator:
@@ -37,8 +36,8 @@ class Discriminator:
         self.embedder = embedder or SentenceEmbedder()
 
     def select(self, candidates: list[str]) -> list[str]:
-        """Top-k candidates by the Eq. 1 objective (order: best first)."""
-        pool = list(dict.fromkeys(candidates)) if self.config.dedupe else list(candidates)
+        """Top-k distinct candidates by the Eq. 1 objective (best first)."""
+        pool = list(dict.fromkeys(candidates))
         if len(pool) <= self.config.top_k:
             return pool
         matrix = self.embedder.embed_all(pool)

@@ -9,19 +9,15 @@ them as ad-hoc domains.
 Resilience: the translation phase retries transient model faults
 (:mod:`repro.synthesis.translation`); queries that fail *permanently* are
 routed to a dead-letter record with a structured reason instead of aborting
-the run, and the run still produces a (smaller) valid split.  Optional
-phase-level **checkpoints** persist the expensive intermediate artifacts
-(seeding + generated SQL; translated outcomes) through an
-:class:`~repro.runtime.ArtifactCache`, so a crashed run resumes from the
-last completed phase instead of restarting — with byte-identical output,
-because phases 3+4 derive all randomness from the SQL text, never from the
-phase-2 RNG's position.
+the run, and the run still produces a (smaller) valid split.
+
+The pipeline runs serially and keeps nothing between runs: the runtime's
+``domain:`` and ``synth-spider:`` tasks cache its splits, and its process
+pool runs several pipelines at once.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -31,7 +27,6 @@ from repro.obs import get_tracer
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.clock import SYSTEM_CLOCK
 from repro.resilience.deadletter import DeadLetter, ResilienceStats
-from repro.runtime.cache import ArtifactCache
 from repro.synthesis.discriminator import Discriminator, DiscriminatorConfig
 from repro.synthesis.generation import GenerationConfig, GenerationStats, SqlGenerator
 from repro.synthesis.seeding import SeedingResult, extract_templates
@@ -64,8 +59,6 @@ class PipelineReport:
     dead_letters: list[DeadLetter] = field(default_factory=list)
     #: Retry/recovery accounting for the translation phase.
     resilience: ResilienceStats = field(default_factory=ResilienceStats)
-    #: Phase -> "stored" | "resumed" (present only when checkpointing is on).
-    checkpoints: dict[str, str] = field(default_factory=dict)
 
     @property
     def n_dead_lettered(self) -> int:
@@ -74,7 +67,7 @@ class PipelineReport:
 
 @dataclass
 class _QueryOutcome:
-    """Picklable phases-3+4 result for one query (crosses executor.map)."""
+    """The phases-3+4 result for one query."""
 
     pairs: list[NLSQLPair]
     attempts: int
@@ -86,16 +79,8 @@ class _QueryOutcome:
 class AugmentationPipeline:
     """Figure 1: automatic training data generation for one domain.
 
-    Randomness and parallelism are injectable: callers may pass an explicit
-    ``rng`` (instead of the pipeline seeding ``random.Random(config.seed)``
-    itself) and an ``executor`` whose ``map`` fans the per-query translation
-    and selection phases out — ``executor.map`` preserves input order and
-    every query is translated independently (the model derives its RNG from
-    the SQL text), so any executor yields the same split as the serial path.
-
     ``breaker``/``clock`` guard and pace the translation phase's retries
-    (see :mod:`repro.resilience`); ``checkpoints`` enables phase-level
-    checkpoint/resume through an artifact cache.
+    (see :mod:`repro.resilience`).
     """
 
     def __init__(
@@ -103,11 +88,8 @@ class AugmentationPipeline:
         domain: BenchmarkDomain,
         model: SqlToNlModel | None = None,
         config: PipelineConfig | None = None,
-        rng: random.Random | None = None,
-        executor=None,
         breaker: CircuitBreaker | None = None,
         clock=SYSTEM_CLOCK,
-        checkpoints: ArtifactCache | None = None,
     ) -> None:
         self.domain = domain
         self.config = config or PipelineConfig()
@@ -119,30 +101,15 @@ class AugmentationPipeline:
             clock=clock,
         )
         self.discriminator = Discriminator(self.config.discriminator)
-        self._rng = rng
-        self._executor = executor
-        self._checkpoints = checkpoints
 
-    def __getstate__(self):
-        # Executors cannot cross process boundaries; drop them so the
-        # pipeline itself stays picklable for executor.map workers.  (The
-        # translator drops its own breaker/clock the same way.)
-        state = self.__dict__.copy()
-        state["_executor"] = None
-        return state
-
-    def run(self, rng: random.Random | None = None, executor=None) -> PipelineReport:
+    def run(self, rng: random.Random | None = None) -> PipelineReport:
         """Execute all four phases and return the synthetic split.
 
-        ``rng``/``executor`` override the constructor-injected ones; with
-        neither injected, each run uses a fresh ``random.Random(config.seed)``
-        and runs serially (the legacy behaviour).
+        ``rng`` drives SQL generation; without one, each run uses a fresh
+        ``random.Random(config.seed)``.
         """
         if rng is None:
-            rng = self._rng if self._rng is not None else random.Random(self.config.seed)
-        if executor is None:
-            executor = self._executor
-        checkpoint_log: dict[str, str] = {}
+            rng = random.Random(self.config.seed)
         tracer = get_tracer()
 
         with tracer.span(
@@ -152,48 +119,27 @@ class AugmentationPipeline:
         ):
             # Phases 1+2 — Seeding, then SQL generation (Algorithm 1),
             # round-robin over templates until the target count is reached or
-            # templates dry up.  Checkpointed as one unit: the phase-2 RNG
-            # stream ends here, so resuming past it is split-preserving.
-            resumed = self._checkpoint_load("generate", checkpoint_log)
-            if resumed is not None:
-                seeding, queries, generation_stats = resumed
-                with tracer.span("pipeline.generation", resumed=True) as span:
-                    span.set_attr("n_queries", len(queries))
-            else:
-                with tracer.span("pipeline.seeding") as span:
-                    seeding = extract_templates(
-                        self.domain.seed.pairs, self.domain.database.schema
-                    )
-                    span.set_attr("n_templates", len(seeding.templates))
-                with tracer.span("pipeline.generation", resumed=False) as span:
-                    generator = SqlGenerator(
-                        self.domain.database,
-                        self.domain.enhanced,
-                        rng,
-                        config=self.config.generation,
-                    )
-                    queries = self._generate_queries(generator, seeding)
-                    generation_stats = generator.stats
-                    span.set_attr("n_queries", len(queries))
-                self._checkpoint_store(
-                    "generate", (seeding, queries, generation_stats), checkpoint_log
+            # templates dry up.
+            with tracer.span("pipeline.seeding") as span:
+                seeding = extract_templates(
+                    self.domain.seed.pairs, self.domain.database.schema
                 )
+                span.set_attr("n_templates", len(seeding.templates))
+            with tracer.span("pipeline.generation") as span:
+                generator = SqlGenerator(
+                    self.domain.database,
+                    self.domain.enhanced,
+                    rng,
+                    config=self.config.generation,
+                )
+                queries = self._generate_queries(generator, seeding)
+                span.set_attr("n_queries", len(queries))
 
             # Phases 3+4 — translate and select, independently per query.
             # Permanent translation failures dead-letter the query; the run
             # continues and still produces a valid (smaller) split.
-            resumed = self._checkpoint_load("translate", checkpoint_log)
-            with tracer.span(
-                "pipeline.translate", resumed=resumed is not None
-            ) as span:
-                if resumed is not None:
-                    outcomes = resumed
-                else:
-                    if executor is None:
-                        outcomes = [self._pairs_for(sql) for sql in queries]
-                    else:
-                        outcomes = list(executor.map(self._pairs_for, queries))
-                    self._checkpoint_store("translate", outcomes, checkpoint_log)
+            with tracer.span("pipeline.translate") as span:
+                outcomes = [self._pairs_for(sql) for sql in queries]
                 span.set_attr("n_queries", len(outcomes))
                 span.set_attr(
                     "dead_letters",
@@ -217,10 +163,9 @@ class AugmentationPipeline:
             n_generated_sql=len(queries),
             n_pairs=len(pairs),
             split=split,
-            generation=generation_stats,
+            generation=generator.stats,
             dead_letters=dead_letters,
             resilience=resilience,
-            checkpoints=checkpoint_log,
         )
 
     def _pairs_for(self, sql: str) -> _QueryOutcome:
@@ -256,37 +201,6 @@ class AugmentationPipeline:
             slept_s=result.slept_s,
             dead_letter=None,
         )
-
-    # -- checkpointing --------------------------------------------------------
-
-    def _checkpoint_key(self, phase: str) -> str:
-        blob = json.dumps(
-            {
-                "pipeline-checkpoint": 1,
-                "domain": self.domain.name,
-                "seed": self.config.seed,
-                "target": self.config.target_queries,
-                "n_candidates": self.config.translation.n_candidates,
-                "phase": phase,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-    def _checkpoint_load(self, phase: str, log: dict[str, str]):
-        if self._checkpoints is None:
-            return None
-        hit, payload = self._checkpoints.load(self._checkpoint_key(phase))
-        if hit:
-            log[phase] = "resumed"
-            return payload
-        return None
-
-    def _checkpoint_store(self, phase: str, payload, log: dict[str, str]) -> None:
-        if self._checkpoints is None:
-            return
-        self._checkpoints.store(self._checkpoint_key(phase), f"pipeline:{phase}", payload)
-        log[phase] = "stored"
 
     def _generate_queries(
         self, generator: SqlGenerator, seeding: SeedingResult
@@ -326,13 +240,11 @@ def augment_domain(
     seed: int = 1234,
     model: SqlToNlModel | None = None,
     rng: random.Random | None = None,
-    executor=None,
 ) -> Split:
     """Convenience wrapper: run the pipeline and return the Synth split.
 
-    ``rng`` overrides the seed-derived RNG; ``executor`` (anything with an
-    order-preserving ``map``) parallelizes the translation phases.
+    ``rng`` overrides the seed-derived RNG.
     """
     config = PipelineConfig(target_queries=target_queries, seed=seed)
     pipeline = AugmentationPipeline(domain, model=model, config=config)
-    return pipeline.run(rng=rng, executor=executor).split
+    return pipeline.run(rng=rng).split

@@ -124,15 +124,6 @@ class SqlToNlTranslator:
                 epochs=self.config.fine_tune_epochs,
             )
 
-    def __getstate__(self):
-        # Breakers hold locks and fake clocks hold conditions — neither may
-        # cross a process boundary.  Worker copies retry independently
-        # against the real clock; breaker state stays with the parent.
-        state = self.__dict__.copy()
-        state["breaker"] = None
-        state["clock"] = SYSTEM_CLOCK
-        return state
-
     def candidates(self, sql: str) -> list[str]:
         """The candidate questions for one SQL query.
 

@@ -6,9 +6,8 @@ The load-bearing guarantees:
   across the whole fleet and all K get answers (property-based over K):
   the router sends the key to its one owner replica, whose result cache
   coalesces the duplicates.
-* **Zero-downtime reload** — requests racing a rolling reload all succeed;
-  none are dropped, rejected or failed, and answers switch to the new
-  model generation afterwards.
+* **Failover** — a failing shard owner's requests are served by its ring
+  sibling, and its open breaker skips it without spending a decode.
 * **Deterministic sharding** — routing depends only on the ring members
   and the normalized question, never on process identity or timing.
 """
@@ -23,13 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import (
-    DRAINING,
-    SERVING,
-    STOPPED,
     FleetConfig,
     FleetError,
     FleetRouter,
-    FleetSpec,
     HashRing,
     QuotaPolicy,
     TenantQuotas,
@@ -324,7 +319,7 @@ def _owned_question(router, slot, domain="demo"):
 
 def test_failed_shard_owner_retries_on_its_sibling():
     async def scenario():
-        router = FleetRouter(FleetConfig(retries=1, breaker_failures=1))
+        router = FleetRouter(FleetConfig(breaker_failures=1))
         config = fast_config(cache_capacity=0)
         router.add_replica(
             make_replica("r0", demo_backends(FaultySystem()), config)
@@ -365,104 +360,6 @@ def test_quota_rejection_is_structured_and_per_tenant():
     assert second.tenant == "t0"
     assert other.ok  # one tenant's pressure never touches another's
     assert router.counters["quota_rejected"] == 1
-
-
-# -- zero-downtime reload ---------------------------------------------------------
-
-
-class V2System(EchoSystem):
-    def predict(self, question, db_id):
-        return f"SELECT v2 '{question}' FROM {db_id}"
-
-
-def test_reload_swaps_generations_without_dropping_requests():
-    """Satellite: requests racing a reload all succeed; zero dropped."""
-
-    async def scenario():
-        router = build_fleet(
-            demo_backends(),
-            2,
-            server_config=fast_config(),
-            factory=lambda: demo_backends(V2System()),
-        )
-        async with router:
-            old = dict(router.replicas)
-
-            async def client(i):
-                await asyncio.sleep(0.001 * (i % 5))
-                return await router.submit(f"load question {i}", "demo")
-
-            load = [asyncio.ensure_future(client(i)) for i in range(40)]
-            await asyncio.sleep(0.002)
-            report = await router.reload()
-            results = await asyncio.gather(*load)
-            after = await router.submit("a fresh question", "demo")
-        return router, old, report, results, after
-
-    router, old, report, results, after = run(scenario())
-    assert all(r.ok for r in results), [r.status for r in results if not r.ok]
-    statuses = {r.status for r in results}
-    assert "failed" not in statuses and "rejected" not in statuses
-    assert {swap["slot"] for swap in report["swaps"]} == {"r0", "r1"}
-    assert all(replica.state == STOPPED for replica in old.values())
-    assert all(
-        replica.generation == 2 for replica in router.replicas.values()
-    )
-    assert all(
-        replica.state == SERVING for replica in router.replicas.values()
-    )
-    # The roll invalidated the shared cache, so the new generation answers.
-    assert after.sql.startswith("SELECT v2 ")
-    assert router.counters["reloads"] == 1
-    assert router.counters["swapped"] == 2
-
-
-def test_reload_leaves_no_cached_answer_of_the_old_generation():
-    """Swapped-in servers start with empty caches: a question cached before
-    the roll is decoded again by the new model generation after it."""
-
-    async def scenario():
-        router = build_fleet(
-            demo_backends(),
-            2,
-            server_config=fast_config(),
-            factory=lambda: demo_backends(V2System()),
-        )
-        async with router:
-            before = await router.submit("what is x?", "demo")
-            repeat = await router.submit("What is X?", "demo")
-            await router.reload()
-            after = await router.submit("what is x?", "demo")
-        return before, repeat, after
-
-    before, repeat, after = run(scenario())
-    assert repeat.cached and repeat.sql == before.sql
-    assert repeat.replica == before.replica  # the key's one owner
-    assert not after.cached and after.sql.startswith("SELECT v2 ")
-
-
-def test_reload_without_factory_raises():
-    async def scenario():
-        router = FleetRouter()
-        router.add_replica(make_replica("r0", demo_backends(), fast_config()))
-        async with router:
-            await router.reload()
-
-    with pytest.raises(FleetError):
-        run(scenario())
-
-
-def test_drain_with_no_traffic_stops_cleanly():
-    async def scenario():
-        replica = make_replica("r0", demo_backends(), fast_config())
-        await replica.server.start()
-        assert replica.state == SERVING
-        drained = await replica.drain()
-        assert replica.state == STOPPED
-        assert drained == 0
-        assert DRAINING == "draining"  # the intermediate state is public API
-
-    run(scenario())
 
 
 # -- replica clones ---------------------------------------------------------------
@@ -534,24 +431,6 @@ def test_process_worker_starts_on_fresh_engines(mini_db, mini_enhanced):
         pool.shutdown(wait=False, cancel_futures=True)
 
 
-# -- fleet specs ------------------------------------------------------------------
-
-
-def test_fleet_spec_round_trips_and_reregisters_adapters():
-    from repro.adapters import specs_for
-
-    spec = FleetSpec(
-        system="valuenet",
-        regime="both",
-        domains=("cordis",),
-        adapter_specs=specs_for(("cordis",)),
-    )
-    spec.ensure_adapters()  # idempotent on identical manifests
-    data = spec.as_dict()
-    assert data["domains"] == ["cordis"]
-    assert data["adapter_specs"][0]["name"] == "cordis"
-
-
 # -- serve-bench report + gates ---------------------------------------------------
 
 
@@ -597,6 +476,39 @@ def test_report_fleet_identity_and_tenants(fleet_report):
 
 def test_gates_pass_on_the_real_report(fleet_report):
     assert evaluate_gates(fleet_report) == []
+
+
+@pytest.mark.skipif(not fork_available(), reason="process replicas need fork")
+def test_fleet_arms_record_process_isolation_where_fork_exists(fleet_report):
+    for arm in ("fleet", "soak"):
+        assert fleet_report["arms"][arm]["isolation"] == "process"
+
+
+def test_fleet_arm_records_thread_isolation_without_fork(monkeypatch):
+    """Without ``fork`` the replicas decode on their servers' threads: they
+    own no worker pool, answers stay identical, and the report says what
+    ran rather than what serve-bench asked for."""
+    from repro.fleet import procpool
+    from repro.fleet import router as fleet_router
+
+    built = []
+
+    def recording_make_replica(*args, **kwargs):
+        built.append(make_replica(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(procpool, "fork_available", lambda: False)
+    monkeypatch.setattr(fleet_router, "make_replica", recording_make_replica)
+    report = run_serve_bench(
+        demo_backends(),
+        {"demo": [f"question {i}" for i in range(8)]},
+        LoadProfile(concurrency=8, repeat=2, seed=11),
+        fast_config(),
+        fleet=FleetProfile(replicas=2),
+    )
+    assert len(built) == 2 and all(replica.pool is None for replica in built)
+    assert report["fleet_identity"]["identical"]
+    assert report["arms"]["fleet"]["isolation"] == "thread"
 
 
 def _minimal_report(**arm_overrides):

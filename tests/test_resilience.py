@@ -389,37 +389,6 @@ def test_pipeline_dead_letters_permanent_faults_and_continues(domain_factory):
     assert all(letter.identity not in surviving for letter in report.dead_letters)
 
 
-def test_pipeline_checkpoints_store_and_resume_identically(domain_factory, tmp_path):
-    config = PipelineConfig(
-        target_queries=25, seed=9, translation=TranslationConfig(retry=FAST)
-    )
-    cache = ArtifactCache(tmp_path)
-    first = AugmentationPipeline(
-        domain_factory(), model=make_model(GPT3_PROFILE, seed=9),
-        config=config, checkpoints=cache,
-    ).run(rng=random.Random(9))
-    assert first.checkpoints == {"generate": "stored", "translate": "stored"}
-
-    resumed = AugmentationPipeline(
-        domain_factory(), model=make_model(GPT3_PROFILE, seed=9),
-        config=config, checkpoints=ArtifactCache(tmp_path),
-    ).run(rng=random.Random(9))
-    assert resumed.checkpoints == {"generate": "resumed", "translate": "resumed"}
-    assert [p.question for p in resumed.split.pairs] == [
-        p.question for p in first.split.pairs
-    ]
-
-    # A different pipeline config must not share checkpoint keys.
-    other = AugmentationPipeline(
-        domain_factory(), model=make_model(GPT3_PROFILE, seed=9),
-        config=PipelineConfig(
-            target_queries=26, seed=9, translation=TranslationConfig(retry=FAST)
-        ),
-        checkpoints=ArtifactCache(tmp_path),
-    ).run(rng=random.Random(9))
-    assert other.checkpoints == {"generate": "stored", "translate": "stored"}
-
-
 # -- scheduler -----------------------------------------------------------------
 
 
